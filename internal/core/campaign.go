@@ -37,7 +37,8 @@ type CampaignSpec struct {
 	// each keeps W*P goroutines busy.
 	Parallelism int
 	// Method selects the thermal iteration schedule for every thermal
-	// job (line-SOR by default; see thermal.SolveOptions.Method).
+	// job (thermal.MethodDefault: multigrid for steady solves; see
+	// thermal.SolveOptions.Method).
 	Method thermal.Method
 	// Obs, when non-nil, instruments every job's substrates and — unless
 	// harness.Config.Obs is set separately — the harness itself, so one
@@ -147,10 +148,12 @@ type wireSpec struct {
 	Benchmarks  []string `json:"benchmarks,omitempty"`
 	SkipThermal bool     `json:"skip_thermal,omitempty"`
 	Parallelism int      `json:"parallelism,omitempty"`
-	// Method travels as the CLI spelling ("multigrid"), not the enum
-	// ordinal, so the wire form stays self-describing; it is omitted
-	// entirely for the line-SOR default, keeping old coordinators and
-	// workers interoperable.
+	// Method travels as the CLI spelling ("multigrid", "line-sor"), not
+	// the enum ordinal, so the wire form stays self-describing. It is
+	// omitted for thermal.MethodDefault, so default specs keep their
+	// bytes and hash; an explicit line-SOR is always written. Omitted
+	// bytes meant line-SOR before multigrid became the steady default,
+	// which is why dist's protocol version fences older peers.
 	Method string `json:"method,omitempty"`
 }
 
@@ -172,7 +175,7 @@ func (spec CampaignSpec) EncodeWire() (json.RawMessage, error) {
 		SkipThermal: spec.SkipThermal,
 		Parallelism: spec.Parallelism,
 	}
-	if spec.Method != thermal.MethodLineSOR {
+	if spec.Method != thermal.MethodDefault {
 		w.Method = spec.Method.String()
 	}
 	raw, err := canon.Marshal(w)

@@ -180,14 +180,14 @@ func TestCampaignSpecWireRoundTrip(t *testing.T) {
 	if _, err := DecodeWireSpec([]byte(`{"seed":1,"method":"jacobi"}`)); !errors.Is(err, thermal.ErrBadMethod) {
 		t.Fatalf("DecodeWireSpec err = %v, want ErrBadMethod", err)
 	}
-	// The default method stays off the wire, so old coordinators and
-	// new workers (and vice versa) interoperate.
+	// The default method stays off the wire, so default specs keep the
+	// bytes and hash they had before multigrid became the default.
 	raw3, err := (CampaignSpec{Seed: 1}).EncodeWire()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(string(raw3), "method") {
-		t.Fatalf("line-SOR default leaked onto the wire: %s", raw3)
+		t.Fatalf("default method leaked onto the wire: %s", raw3)
 	}
 }
 

@@ -135,8 +135,9 @@ type specWire struct {
 	Scale       float64 `json:"scale,omitempty"`
 	Grid        int     `json:"grid,omitempty"`
 	Parallelism int     `json:"parallelism,omitempty"`
-	// Method travels as the CLI spelling ("multigrid"), omitted for the
-	// line-SOR default — the same convention as the campaign wire spec.
+	// Method travels as the CLI spelling ("multigrid", "line-sor"),
+	// omitted for thermal.MethodDefault — the same convention as the
+	// campaign wire spec. An explicit line-SOR is always written.
 	Method string `json:"method,omitempty"`
 }
 
@@ -147,7 +148,7 @@ func specWireFrom(spec RunSpec) specWire {
 		Grid:        spec.Grid,
 		Parallelism: spec.Parallelism,
 	}
-	if spec.Method != thermal.MethodLineSOR {
+	if spec.Method != thermal.MethodDefault {
 		w.Method = spec.Method.String()
 	}
 	return w

@@ -117,7 +117,7 @@ func TestEncodeRequestCanonical(t *testing.T) {
 		t.Fatal(err)
 	}
 	explicit, err := e.EncodeRequest(ExperimentRequest{
-		Spec:   RunSpec{Seed: 1, Method: thermal.MethodLineSOR},
+		Spec:   RunSpec{Seed: 1, Method: thermal.MethodDefault},
 		Params: &MemoryPerfParams{CapacityMB: 0, Benchmark: ""},
 	})
 	if err != nil {
@@ -164,6 +164,23 @@ func TestEncodeRequestCanonical(t *testing.T) {
 	}
 	if !strings.Contains(string(raw), `"method":"multigrid"`) {
 		t.Fatalf("non-default method missing from the wire: %s", raw)
+	}
+
+	// An explicit line-SOR is not the default (steady solves default to
+	// multigrid), so it is always written and keys a different entry.
+	sor, err := e.EncodeRequest(ExperimentRequest{Spec: RunSpec{Seed: 1, Method: thermal.MethodLineSOR}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"experiment":"memory-perf","spec":{"seed":1,"method":"line-sor"}}`; string(sor) != want {
+		t.Fatalf("explicit line-SOR encodes as %s, want %s", sor, want)
+	}
+	back, err = e.DecodeRequest(sor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Spec.Method != thermal.MethodLineSOR {
+		t.Fatalf("explicit line-SOR decoded as %v", back.Spec.Method)
 	}
 }
 

@@ -27,9 +27,10 @@ type CLIFlags struct {
 	// Parallel is the thermal solver worker count per solve (0 =
 	// serial). Only registered when the cmd asked for it.
 	Parallel int
-	// Solver is the raw -solver flag value ("sor" or "multigrid");
-	// Start parses it into the Method accessor. Registered together
-	// with -parallel (only cmds that run thermal solves get either).
+	// Solver is the raw -solver flag value ("", "sor" or
+	// "multigrid"); Start parses it into the Method accessor.
+	// Registered together with -parallel (only cmds that run thermal
+	// solves get either).
 	Solver string
 	// CPUProfile / MemProfile are pprof output paths ("" = off).
 	CPUProfile string
@@ -54,8 +55,8 @@ type CLIFlags struct {
 func RegisterCLIFlags(fs *flag.FlagSet, withParallel bool) *CLIFlags {
 	f := &CLIFlags{withParallel: withParallel}
 	if withParallel {
-		fs.IntVar(&f.Parallel, "parallel", 0, "thermal solver workers per solve (0 = serial)")
-		fs.StringVar(&f.Solver, "solver", "sor", "thermal iteration schedule: sor (bit-compat default) or multigrid (fast)")
+		fs.IntVar(&f.Parallel, "parallel", 0, "line-SOR thermal solver workers per solve (0 = serial)")
+		fs.StringVar(&f.Solver, "solver", "", "thermal iteration schedule: sor or multigrid (default: multigrid for steady solves, sor for transients)")
 	}
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file on exit")
@@ -108,7 +109,7 @@ func (f *CLIFlags) Start() error {
 func (f *CLIFlags) Obs() *obs.Registry { return f.reg }
 
 // Method returns the thermal schedule Start parsed from -solver
-// (MethodLineSOR when the flag was not registered or left default).
+// (MethodDefault when the flag was not registered or left empty).
 func (f *CLIFlags) Method() thermal.Method { return f.method }
 
 // Stop closes the progress reporter, flushes the final metrics

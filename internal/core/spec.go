@@ -25,8 +25,9 @@ type RunSpec struct {
 	// Parallelism is the thermal solver's worker count per solve (0 =
 	// serial; see thermal.SolveOptions.Parallelism).
 	Parallelism int
-	// Method selects the thermal iteration schedule (line-SOR by
-	// default, multigrid opt-in; see thermal.SolveOptions.Method).
+	// Method selects the thermal iteration schedule. The zero value,
+	// thermal.MethodDefault, runs multigrid for steady solves and
+	// line-SOR for transients; see thermal.SolveOptions.Method.
 	Method thermal.Method
 	// Obs, when non-nil, receives metrics and spans from every substrate
 	// the experiment exercises (memhier_*, dram_*, thermal_*, fault_*).

@@ -520,10 +520,9 @@ func (c *coordinator) serve(conn net.Conn) {
 		var resp response
 		switch req.Type {
 		case "hello":
-			if req.Proto != protoVersion {
-				violation(fmt.Sprintf("protocol version %d, want %d", req.Proto, protoVersion))
-				lc.writeJSON(response{Type: "error",
-					Err: fmt.Sprintf("protocol version %d, want %d", req.Proto, protoVersion)})
+			if pe := checkProto(req.Proto); pe != nil {
+				violation(pe.Reason)
+				lc.writeJSON(response{Type: "error", Err: pe.Reason})
 				return
 			}
 			if req.Worker == "" {

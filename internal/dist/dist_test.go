@@ -142,17 +142,28 @@ func TestDistributedManifestMatchesSingleProcess(t *testing.T) {
 		SpecPayload: payload,
 		LeaseTTL:    5 * time.Second,
 	})
+	workerErrs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		name := fmt.Sprintf("w%d", i)
 		go func() {
-			if err := RunWorker(ctx, WorkerConfig{
+			err := RunWorker(ctx, WorkerConfig{
 				Addr: addr, Name: name, MakeJobs: testMakeJobs, Parallel: 2,
-			}); err != nil {
-				t.Errorf("worker %s: %v", name, err)
+			})
+			if err != nil {
+				err = fmt.Errorf("worker %s: %w", name, err)
 			}
+			workerErrs <- err
 		}()
 	}
 	o := waitOutcome(t, out)
+	// A worker that missed the coordinator's "done" keeps redialing
+	// until canceled; join both before the test returns.
+	cancel()
+	for i := 0; i < 2; i++ {
+		if err := <-workerErrs; err != nil && !errors.Is(err, context.Canceled) {
+			t.Error(err)
+		}
+	}
 	if o.err != nil {
 		t.Fatalf("coordinator: %v", o.err)
 	}
@@ -449,6 +460,45 @@ func TestHelloRejectsVersionSkew(t *testing.T) {
 	_, err = lc.roundTrip(request{Type: "hello", Proto: protoVersion + 1, Worker: "future"})
 	if err == nil || !strings.Contains(err.Error(), "protocol version") {
 		t.Errorf("version skew: err = %v", err)
+	}
+	cancel()
+	waitOutcome(t, out)
+}
+
+// TestHelloRejectsProtoV1 fences version-1 peers: they read a spec
+// without a "method" key as line-SOR, where version 2 runs the default
+// (multigrid) schedule under the same spec hash. The hello is refused
+// with the typed protocol error and counted as a violation.
+func TestHelloRejectsProtoV1(t *testing.T) {
+	var pe *ProtocolError
+	if err := error(checkProto(1)); !errors.As(err, &pe) || pe.Reason != "protocol version 1, want 2" {
+		t.Fatalf("checkProto(1) = %v, want *ProtocolError for version 1", err)
+	}
+	if pe := checkProto(protoVersion); pe != nil {
+		t.Fatalf("checkProto(%d) = %v, want nil", protoVersion, pe)
+	}
+
+	spec := testSpec{N: 1}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	reg := obs.NewRegistry()
+	addr, out := startCoordinator(t, ctx, CoordinatorConfig{
+		Jobs:        jobNames(testJobs(spec)),
+		SpecPayload: mustPayload(t, spec),
+		LeaseTTL:    5 * time.Second,
+		Obs:         reg,
+	})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	resp, err := newLineConn(conn).roundTrip(request{Type: "hello", Proto: 1, Worker: "v1"})
+	if err == nil || resp.Type != "error" || resp.Err != "protocol version 1, want 2" {
+		t.Errorf("v1 hello: resp %+v, err %v; want a protocol-version rejection", resp, err)
+	}
+	if got := reg.CounterValue(obs.MetricProtoViolations); got != 1 {
+		t.Errorf("proto violations = %d, want 1", got)
 	}
 	cancel()
 	waitOutcome(t, out)

@@ -27,7 +27,11 @@ import (
 // fatal for the exchange that triggered them.
 
 // protoVersion gates handshakes: both sides must agree exactly.
-const protoVersion = 1
+// Version 2: a campaign spec without a "method" key runs the solver's
+// default schedule (multigrid for steady solves) where version 1 ran
+// line-SOR, so the same spec bytes and hash now mean different
+// computations and the two versions must not share a campaign.
+const protoVersion = 2
 
 // maxLineBytes bounds one protocol line; a job value bigger than this
 // is a bug, not a workload.
@@ -45,6 +49,15 @@ type ProtocolError struct {
 
 func (e *ProtocolError) Error() string {
 	return "dist: protocol violation: " + e.Reason
+}
+
+// checkProto rejects a hello carrying any protocol version but
+// protoVersion.
+func checkProto(v int) *ProtocolError {
+	if v != protoVersion {
+		return &ProtocolError{Reason: fmt.Sprintf("protocol version %d, want %d", v, protoVersion)}
+	}
+	return nil
 }
 
 // request is a worker-to-coordinator message.

@@ -13,7 +13,7 @@ func benchStack(grid int) *Stack {
 func BenchmarkSolve32(b *testing.B) {
 	s := benchStack(32)
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(context.Background(), s, SolveOptions{}); err != nil {
+		if _, err := Solve(context.Background(), s, SolveOptions{Method: MethodLineSOR}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -22,7 +22,7 @@ func BenchmarkSolve32(b *testing.B) {
 func BenchmarkSolve64(b *testing.B) {
 	s := benchStack(64)
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(context.Background(), s, SolveOptions{}); err != nil {
+		if _, err := Solve(context.Background(), s, SolveOptions{Method: MethodLineSOR}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -41,7 +41,7 @@ func BenchmarkSolve64Parallel8(b *testing.B) {
 	defer w.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.Solve(context.Background(), SolveOptions{Parallelism: 8}); err != nil {
+		if _, err := w.Solve(context.Background(), SolveOptions{Method: MethodLineSOR, Parallelism: 8}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -82,7 +82,7 @@ func BenchmarkWorkspaceResolve32(b *testing.B) {
 	defer w.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.Solve(context.Background(), SolveOptions{}); err != nil {
+		if _, err := w.Solve(context.Background(), SolveOptions{Method: MethodLineSOR}); err != nil {
 			b.Fatal(err)
 		}
 	}

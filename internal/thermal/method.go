@@ -15,27 +15,37 @@ import (
 type Method int
 
 const (
-	// MethodLineSOR is the default alternating-direction line-SOR
-	// schedule: tridiagonal solves along z, x, and y lines, iterated to
+	// MethodDefault is the zero value: each solve kind picks its own
+	// schedule. Steady solves (SolveOptions) run MethodMultigrid;
+	// transient solves (TransientOptions) run MethodLineSOR, whose
+	// fixed inner-cycle budget per implicit step the DTM results are
+	// pinned against. It is the empty string on the wire and in the
+	// -solver flag.
+	MethodDefault Method = iota
+	// MethodLineSOR is the alternating-direction line-SOR schedule:
+	// tridiagonal solves along z, x, and y lines, iterated to
 	// convergence. It is the bit-compatibility baseline — serial and
 	// pipelined-parallel solves produce identical fields — but needs
 	// hundreds to thousands of cycles on fine grids.
-	MethodLineSOR Method = iota
+	MethodLineSOR
 	// MethodMultigrid is the geometric multigrid schedule: V-cycles
 	// over a lateral coarsening hierarchy with red-black z-line
 	// smoothing. It converges in tens of cycles where line-SOR needs
-	// hundreds, so it is the single-core speed path; the result meets
-	// the same tolerance but is not bit-identical to line-SOR. The
-	// schedule is deterministic (fixed sweep order, no map iteration):
-	// the same stack and options reproduce the same field byte for
-	// byte. A multigrid attempt that diverges or stalls falls back to
-	// damped line-SOR automatically (see SolveOptions.MaxRecoveries).
+	// hundreds; the result meets the same tolerance but is not
+	// bit-identical to line-SOR. The schedule is deterministic (fixed
+	// sweep order, no map iteration): the same stack and options
+	// reproduce the same field byte for byte. A multigrid attempt that
+	// diverges or stalls falls back to damped line-SOR automatically
+	// (see SolveOptions.MaxRecoveries).
 	MethodMultigrid
 )
 
-// String names the method the way the -solver CLI flag spells it.
+// String names the method the way the -solver CLI flag spells it
+// ("default" for MethodDefault, which the flag also accepts as "").
 func (m Method) String() string {
 	switch m {
+	case MethodDefault:
+		return "default"
 	case MethodLineSOR:
 		return "line-sor"
 	case MethodMultigrid:
@@ -51,20 +61,21 @@ func (m Method) String() string {
 // default schedule.
 func (m Method) Validate() error {
 	switch m {
-	case MethodLineSOR, MethodMultigrid:
+	case MethodDefault, MethodLineSOR, MethodMultigrid:
 		return nil
 	}
 	return &MethodError{Requested: m}
 }
 
 // ParseMethod maps a -solver CLI value onto a Method. Accepted
-// spellings: "sor", "line-sor", "linesor" for MethodLineSOR (the empty
-// string also selects it, as the flag default); "multigrid", "mg" for
-// MethodMultigrid. Anything else fails with an error wrapping
-// ErrBadMethod.
+// spellings: "" and "default" for MethodDefault; "sor", "line-sor",
+// "linesor" for MethodLineSOR; "multigrid", "mg" for MethodMultigrid.
+// Anything else fails with an error wrapping ErrBadMethod.
 func ParseMethod(s string) (Method, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "sor", "line-sor", "linesor":
+	case "", "default":
+		return MethodDefault, nil
+	case "sor", "line-sor", "linesor":
 		return MethodLineSOR, nil
 	case "multigrid", "mg":
 		return MethodMultigrid, nil

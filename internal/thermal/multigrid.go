@@ -33,7 +33,9 @@
 // solve) and reused by every later solve, retry, transient step, and
 // DTM sample; after that warm-up a V-cycle performs zero allocations
 // (TestMultigridVCycleAllocs pins this, and the smoother inner loops
-// are //stacklint:hotpath-checked).
+// are //stacklint:hotpath-checked). A pooled Workspace keeps only the
+// coarse operators between solves and drops the per-level iteration
+// buffers (see mgHier.dropBuffers).
 package thermal
 
 import (
@@ -68,7 +70,9 @@ const (
 // terms), so smoothing the fine level *is* iterating the real system;
 // coarser levels own their aggregated copies and solve the error
 // equation A·e = r, which has zero ambient (the boundary data lives in
-// the restricted residual).
+// the restricted residual). The operator (conductances, diagStatic) is
+// fixed once built; cod, t, q, and r are iteration buffers, nil while
+// dropped.
 type mgLevel struct {
 	nx, ny, nz int
 	gv         []float64 // vertical conductance cell -> cell below (z+1)
@@ -328,10 +332,6 @@ func coarsen(f *mgLevel) *mgLevel {
 		gTop:       make([]float64, nyc*nxc),
 		gBot:       make([]float64, nyc*nxc),
 		diagStatic: make([]float64, cells),
-		cod:        make([]float64, cells),
-		t:          make([]float64, cells),
-		q:          make([]float64, cells),
-		r:          make([]float64, cells),
 		amb:        0,
 		sc:         newLineScratch(nz),
 	}
@@ -462,9 +462,9 @@ func prolongAdd(c, f *mgLevel) {
 
 // mgHier is a Workspace's multigrid hierarchy: built once from the
 // solver's discretization on the first multigrid solve, reused by
-// every solve after that. Level 0 aliases the solver's arrays, so the
-// hierarchy always iterates the workspace's current sources and
-// capacity terms.
+// every solve after that. Level 0 aliases the solver's arrays
+// (rebound by ensureBuffers before each solve), so the hierarchy
+// always iterates the workspace's current sources and capacity terms.
 type mgHier struct {
 	levels []*mgLevel
 	// tPrev snapshots the fine temperatures before each V-cycle so the
@@ -480,7 +480,8 @@ type mgHier struct {
 	cycles uint64
 }
 
-// newMGHier builds the hierarchy for sv's discretization.
+// newMGHier builds the hierarchy for sv's discretization; its
+// iteration buffers come from ensureBuffers.
 func newMGHier(sv *solver) *mgHier {
 	cells := sv.nz * sv.ny * sv.nx
 	fine := &mgLevel{
@@ -488,10 +489,6 @@ func newMGHier(sv *solver) *mgHier {
 		gv: sv.gv, gxr: sv.gxr, gyu: sv.gyu,
 		gTop: sv.gTop, gBot: sv.gBot,
 		diagStatic: make([]float64, cells),
-		cod:        sv.capOverDt,
-		t:          sv.t,
-		q:          sv.q,
-		r:          make([]float64, cells),
 		amb:        sv.s.AmbientC,
 		sc:         newLineScratch(sv.nz),
 	}
@@ -510,9 +507,39 @@ func newMGHier(sv *solver) *mgHier {
 	}
 	return &mgHier{
 		levels:     levels,
-		tPrev:      make([]float64, cells),
 		sweepNames: names,
 		sweeps:     make([]uint64, len(levels)),
+	}
+}
+
+// ensureBuffers binds the fine level to the solver's current buffers
+// and allocates the hierarchy's own iteration buffers if they are
+// absent: the fine residual, tPrev, and each coarse level's t, q, r,
+// and cod. Every solve attempt overwrites them before reading, so
+// reallocated buffers give the same field bit for bit.
+func (h *mgHier) ensureBuffers(sv *solver) {
+	fine := h.levels[0]
+	fine.t, fine.q, fine.cod = sv.t, sv.q, sv.capOverDt
+	if h.tPrev != nil {
+		return
+	}
+	h.tPrev = make([]float64, len(sv.t))
+	fine.r = make([]float64, len(sv.t))
+	for _, lv := range h.levels[1:] {
+		cells := len(lv.diagStatic)
+		lv.t = make([]float64, cells)
+		lv.q = make([]float64, cells)
+		lv.r = make([]float64, cells)
+		lv.cod = make([]float64, cells)
+	}
+}
+
+// dropBuffers releases every iteration buffer ensureBuffers provides,
+// and the fine level's aliases of the solver's, keeping the operators.
+func (h *mgHier) dropBuffers() {
+	h.tPrev = nil
+	for _, lv := range h.levels {
+		lv.t, lv.q, lv.r, lv.cod = nil, nil, nil, nil
 	}
 }
 

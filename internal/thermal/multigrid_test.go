@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -22,7 +23,7 @@ func table5Stack(grid int) *Stack {
 // bound. Not bit-identity — interchangeability.
 func TestMultigridAgreesWithLineSOR(t *testing.T) {
 	s := table5Stack(32)
-	fSOR, err := Solve(context.Background(), s, SolveOptions{})
+	fSOR, err := Solve(context.Background(), s, SolveOptions{Method: MethodLineSOR})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,8 @@ func TestMethodValidation(t *testing.T) {
 		want Method
 		ok   bool
 	}{
-		{"", MethodLineSOR, true},
+		{"", MethodDefault, true},
+		{"default", MethodDefault, true},
 		{"sor", MethodLineSOR, true},
 		{"line-sor", MethodLineSOR, true},
 		{"MULTIGRID", MethodMultigrid, true},
@@ -176,6 +178,70 @@ func TestMethodValidation(t *testing.T) {
 	if MethodLineSOR.String() != "line-sor" || MethodMultigrid.String() != "multigrid" {
 		t.Errorf("String() = %q, %q", MethodLineSOR, MethodMultigrid)
 	}
+}
+
+// TestDefaultMethodResolution pins what the zero Method means per
+// solve kind: multigrid for steady solves, line-SOR for transients.
+// Transients stay on line-SOR because the default 10-cycle inner
+// budget leaves each implicit step short of convergence, and the
+// published DTM peaks are pinned to line-SOR's truncation; a default
+// multigrid transient moves them (see DESIGN.md).
+func TestDefaultMethodResolution(t *testing.T) {
+	if got := (SolveOptions{}).withDefaults(); got.Method != MethodMultigrid || got.Omega != 1.0 {
+		t.Errorf("default SolveOptions -> %v omega %v, want multigrid omega 1", got.Method, got.Omega)
+	}
+	if got := (TransientOptions{}).withDefaults(); got.Method != MethodLineSOR || got.Omega != defaultTransientOmega {
+		t.Errorf("default TransientOptions -> %v omega %v, want line-sor omega %v",
+			got.Method, got.Omega, defaultTransientOmega)
+	}
+	// Explicit choices are honored on both kinds.
+	if got := (SolveOptions{Method: MethodLineSOR}).withDefaults(); got.Method != MethodLineSOR || got.Omega != defaultSteadyOmega {
+		t.Errorf("explicit line-SOR steady -> %v omega %v", got.Method, got.Omega)
+	}
+	if got := (TransientOptions{Method: MethodMultigrid}).withDefaults(); got.Method != MethodMultigrid {
+		t.Errorf("explicit multigrid transient -> %v", got.Method)
+	}
+
+	// End to end: a default steady solve is the multigrid solve, and a
+	// default transient is the line-SOR transient, bit for bit.
+	s := table5Stack(16)
+	def, err := Solve(context.Background(), s, SolveOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mg, err := Solve(context.Background(), s, SolveOptions{Method: MethodMultigrid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalFields(def, mg) {
+		t.Error("default steady solve differs from the multigrid solve")
+	}
+	topt := TransientOptions{Dt: 0.5, Steps: 4}
+	tdef, err := SolveTransient(context.Background(), s, topt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topt.Method = MethodLineSOR
+	tsor, err := SolveTransient(context.Background(), s, topt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalFields(tdef.Final, tsor.Final) {
+		t.Error("default transient differs from the line-SOR transient")
+	}
+}
+
+// equalFields reports whether two fields are bit-identical.
+func equalFields(a, b *Field) bool {
+	if len(a.t) != len(b.t) {
+		return false
+	}
+	for i := range a.t {
+		if math.Float64bits(a.t[i]) != math.Float64bits(b.t[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestMultigridVCycleAllocs pins the steady-state hot path: once the
@@ -199,6 +265,40 @@ func TestMultigridVCycleAllocs(t *testing.T) {
 		h.vcycle(1.0)
 	}); allocs != 0 {
 		t.Fatalf("V-cycle allocates %v objects per run, want 0", allocs)
+	}
+}
+
+// TestWorkspaceWarmResolveAllocs pins the warm re-solve on a directly
+// held Workspace: it keeps its iteration buffers (only a
+// WorkspaceCache drops them), so a re-solve allocates the returned
+// Field's temperature copy and nothing else of the grid's size, on
+// either method.
+func TestWorkspaceWarmResolveAllocs(t *testing.T) {
+	for _, m := range []Method{MethodLineSOR, MethodMultigrid} {
+		w, err := NewWorkspace(benchStack(16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := SolveOptions{Method: m}
+		if _, err := w.Solve(context.Background(), opt); err != nil {
+			t.Fatal(err)
+		}
+		const runs = 4
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := w.Solve(context.Background(), opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perSolve := (after.TotalAlloc - before.TotalAlloc) / runs
+		fieldBytes := uint64(8 * len(w.sv.t))
+		if perSolve >= 2*fieldBytes {
+			t.Errorf("%v: warm re-solve allocates %d bytes, want under %d (one Field copy is %d)",
+				m, perSolve, 2*fieldBytes, fieldBytes)
+		}
+		w.Close()
 	}
 }
 

@@ -54,12 +54,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 		"tall":   tallTestStack(t, 16),
 	}
 	for name, s := range stacks {
-		serial, err := Solve(context.Background(), s, SolveOptions{})
+		serial, err := Solve(context.Background(), s, SolveOptions{Method: MethodLineSOR})
 		if err != nil {
 			t.Fatalf("%s: serial solve: %v", name, err)
 		}
 		for _, p := range []int{1, 2, 8} {
-			f, err := Solve(context.Background(), s, SolveOptions{Parallelism: p})
+			f, err := Solve(context.Background(), s, SolveOptions{Method: MethodLineSOR, Parallelism: p})
 			if err != nil {
 				t.Fatalf("%s: parallel solve (P=%d): %v", name, p, err)
 			}
@@ -80,7 +80,7 @@ func TestParallelDeterminism(t *testing.T) {
 	s := testStack(24)
 	var fields []*Field
 	for run := 0; run < 2; run++ {
-		f, err := Solve(context.Background(), s, SolveOptions{Parallelism: 8})
+		f, err := Solve(context.Background(), s, SolveOptions{Method: MethodLineSOR, Parallelism: 8})
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
@@ -135,7 +135,7 @@ func TestParallelismValidation(t *testing.T) {
 	}
 	s := testStack(8)
 	for _, p := range []int{-1, -100, MaxParallelism() + 1} {
-		_, err := Solve(context.Background(), s, SolveOptions{Parallelism: p})
+		_, err := Solve(context.Background(), s, SolveOptions{Method: MethodLineSOR, Parallelism: p})
 		if !errors.Is(err, ErrBadParallelism) {
 			t.Errorf("Parallelism=%d: got %v, want ErrBadParallelism", p, err)
 		}
@@ -150,7 +150,7 @@ func TestParallelismValidation(t *testing.T) {
 			t.Errorf("transient Parallelism=%d: got %v, want ErrBadParallelism", p, terr)
 		}
 	}
-	if _, err := Solve(context.Background(), s, SolveOptions{Parallelism: 0}); err != nil {
+	if _, err := Solve(context.Background(), s, SolveOptions{Method: MethodLineSOR, Parallelism: 0}); err != nil {
 		t.Errorf("Parallelism=0 (serial default): %v", err)
 	}
 }
@@ -169,14 +169,14 @@ func TestWorkspaceReuse(t *testing.T) {
 	}
 	defer w.Close()
 
-	fresh, err := Solve(context.Background(), s, SolveOptions{})
+	fresh, err := Solve(context.Background(), s, SolveOptions{Method: MethodLineSOR})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Two serial solves, then pool sizes 2 and 8, then serial again:
 	// every one must match the fresh single-use solve exactly.
 	for _, p := range []int{0, 0, 2, 8, 0} {
-		f, err := w.Solve(context.Background(), SolveOptions{Parallelism: p})
+		f, err := w.Solve(context.Background(), SolveOptions{Method: MethodLineSOR, Parallelism: p})
 		if err != nil {
 			t.Fatalf("workspace solve (P=%d): %v", p, err)
 		}
@@ -187,7 +187,7 @@ func TestWorkspaceReuse(t *testing.T) {
 
 	// Returned fields own their data: the first result must survive
 	// later solves on the same workspace.
-	first, err := w.Solve(context.Background(), SolveOptions{})
+	first, err := w.Solve(context.Background(), SolveOptions{Method: MethodLineSOR})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +195,11 @@ func TestWorkspaceReuse(t *testing.T) {
 
 	// Mutating the power map in place is picked up by the next solve.
 	pm.Scale(1.5)
-	hot, err := w.Solve(context.Background(), SolveOptions{})
+	hot, err := w.Solve(context.Background(), SolveOptions{Method: MethodLineSOR})
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshHot, err := Solve(context.Background(), s, SolveOptions{})
+	freshHot, err := Solve(context.Background(), s, SolveOptions{Method: MethodLineSOR})
 	if err != nil {
 		t.Fatal(err)
 	}

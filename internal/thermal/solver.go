@@ -9,11 +9,13 @@ import (
 
 // SolveOptions tunes the solver. Zero values select the defaults.
 type SolveOptions struct {
-	// Method selects the iteration schedule: MethodLineSOR (the
-	// default, bit-compatible with prior releases) or MethodMultigrid
-	// (V-cycles, typically an order of magnitude fewer cycles on fine
-	// grids; deterministic but not bit-identical to line-SOR). Unknown
-	// values are rejected with a *MethodError wrapping ErrBadMethod.
+	// Method selects the iteration schedule: MethodMultigrid (what
+	// MethodDefault resolves to; V-cycles, typically an order of
+	// magnitude fewer cycles than line-SOR on fine grids) or
+	// MethodLineSOR (the bit-compatibility baseline with releases
+	// before multigrid became the default; within tolerance of
+	// multigrid, not bit-identical to it). Unknown values are rejected
+	// with a *MethodError wrapping ErrBadMethod.
 	Method Method
 	// MaxCycles bounds the number of iteration cycles (default 4000).
 	// One cycle is a z-, x-, and y-line sweep for MethodLineSOR, or
@@ -35,12 +37,13 @@ type SolveOptions struct {
 	// growth). Zero selects the default (2); negative disables recovery
 	// so a divergence fails immediately with ErrDiverged.
 	MaxRecoveries int
-	// Parallelism runs each sweep on this many pipelined workers
-	// (0 = serial, the default). The pipeline preserves the serial
-	// Gauss-Seidel dependency order, so the solved field is
-	// bit-identical to the serial solver at every setting — the knob
-	// trades CPU for wall clock, never accuracy. Negative values and
-	// values above MaxParallelism() are rejected with a
+	// Parallelism runs each line-SOR sweep on this many pipelined
+	// workers (0 = serial, the default); multigrid solves ignore it
+	// unless the recovery ladder falls back to line-SOR. The pipeline
+	// preserves the serial Gauss-Seidel dependency order, so the solved
+	// field is bit-identical to the serial solver at every setting —
+	// the knob trades CPU for wall clock, never accuracy. Negative
+	// values and values above MaxParallelism() are rejected with a
 	// *ParallelismError wrapping ErrBadParallelism.
 	Parallelism int
 	// Obs, when non-nil, receives solver metrics (thermal_solves,
@@ -57,6 +60,9 @@ type SolveOptions struct {
 const defaultSteadyOmega = 1.8
 
 func (o SolveOptions) withDefaults() SolveOptions {
+	if o.Method == MethodDefault {
+		o.Method = MethodMultigrid
+	}
 	if o.MaxCycles == 0 {
 		o.MaxCycles = 4000
 	}
@@ -128,9 +134,11 @@ func (sc *lineScratch) thomas(n int) {
 }
 
 // solver holds the discretized system. The discretization (grid,
-// conductances, capacities) is built once by newSolver; the iteration
-// state (t, q, capOverDt, omega) is reinitialized by reset, so one
-// solver serves many solves, retries, and transient steps.
+// conductances, capacities) is built once by newSolver. The iteration
+// buffers (baseQ, q, t, tOld, capOverDt) are allocated by
+// ensureBuffers and fully reinitialized by reset, so one solver serves
+// many solves, retries, and transient steps; a pooled solver drops
+// them between solves (dropBuffers) and gets them back on the next.
 type solver struct {
 	s          *Stack
 	omega      float64
@@ -139,17 +147,19 @@ type solver struct {
 	gxr        []float64 // lateral conductance cell -> x+1
 	gyu        []float64 // lateral conductance cell -> y+1
 	gTop, gBot []float64 // boundary conductance per lateral cell
-	baseQ      []float64 // rasterized heat source per cell, W
-	q          []float64 // working right-hand side (baseQ, or the implicit-Euler RHS)
-	t          []float64
-	tOld       []float64 // previous-step temperatures during transient stepping
-	// cellCap is each cell's heat capacity in J/K; capOverDt holds
-	// cellCap/dt during transient stepping (all zero for steady
-	// solves, where it drops out of the equations).
-	cellCap   []float64
+	// cellCap is each cell's heat capacity in J/K.
+	cellCap []float64
+	sc      *lineScratch // serial-path scratch, sized to the longest axis
+	maxAxis int
+
+	// Iteration buffers, nil while dropped.
+	baseQ []float64 // rasterized heat source per cell, W
+	q     []float64 // working right-hand side (baseQ, or the implicit-Euler RHS)
+	t     []float64
+	tOld  []float64 // previous-step temperatures during transient stepping
+	// capOverDt holds cellCap/dt during transient stepping (all zero
+	// for steady solves, where it drops out of the equations).
 	capOverDt []float64
-	sc        *lineScratch // serial-path scratch, sized to the longest axis
-	maxAxis   int
 
 	// z discretization retained so power maps can be re-rasterized on
 	// every reset (power mutations between solves are picked up).
@@ -162,14 +172,15 @@ type solver struct {
 
 func (sv *solver) idx(z, y, x int) int { return (z*sv.ny+y)*sv.nx + x }
 
-// Solve computes the steady-state temperature field of the stack with
-// an alternating-direction line solver: tridiagonal (Thomas) solves
-// along z, then x, then y lines, iterated to convergence. Die stacks
+// Solve computes the steady-state temperature field of the stack on
+// the schedule opt.Method selects: geometric multigrid by default, or
+// an alternating-direction line solver (tridiagonal Thomas solves
+// along z, then x, then y lines, iterated to convergence). Die stacks
 // are strongly anisotropic — micron-thin layers give enormous vertical
 // conductances, and the thick copper sink gives enormous lateral
-// ones — so line relaxation along every axis is required for fast,
-// reliable convergence. Convergence is accepted on global energy
-// balance, not just per-sweep stagnation.
+// ones — so both schedules relax whole lines rather than points.
+// Convergence is accepted on global energy balance, not just per-cycle
+// stagnation.
 //
 // A solve that exhausts its cycle budget without meeting tolerance
 // returns the partial field together with a *ConvergenceError wrapping
@@ -182,8 +193,7 @@ func (sv *solver) idx(z, y, x int) int { return (z*sv.ny+y)*sv.nx + x }
 // same geometry repeatedly should keep a Workspace instead.
 //
 // Cancellation is cooperative: the context is checked between
-// alternating-direction cycles, and ctx.Err() is returned as soon as
-// the context is done.
+// cycles, and ctx.Err() is returned as soon as the context is done.
 func Solve(ctx context.Context, s *Stack, opt SolveOptions) (*Field, error) {
 	w, err := NewWorkspace(s)
 	if err != nil {
@@ -344,12 +354,29 @@ func newSolver(s *Stack) (*solver, error) {
 		}
 	}
 
+	return sv, nil
+}
+
+// ensureBuffers allocates the iteration buffers if they are absent (a
+// new solver, or a pooled one whose buffers were dropped). Every solve
+// reinitializes them in full, so reallocated buffers give the same
+// field bit for bit.
+func (sv *solver) ensureBuffers() {
+	if sv.t != nil {
+		return
+	}
+	cells := len(sv.cellCap)
 	sv.baseQ = make([]float64, cells)
 	sv.q = make([]float64, cells)
 	sv.capOverDt = make([]float64, cells)
 	sv.t = make([]float64, cells)
 	sv.tOld = make([]float64, cells)
-	return sv, nil
+}
+
+// dropBuffers releases the iteration buffers, keeping the
+// discretization.
+func (sv *solver) dropBuffers() {
+	sv.baseQ, sv.q, sv.capOverDt, sv.t, sv.tOld = nil, nil, nil, nil, nil
 }
 
 // rasterize rebuilds the per-cell heat sources (W) from the stack's

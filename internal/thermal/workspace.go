@@ -20,6 +20,11 @@ import (
 // Close. Close releases the worker pool; it is required only when a
 // solve ran with Parallelism > 0 (it is a no-op otherwise) but is
 // always safe to defer.
+//
+// A Workspace keeps its iteration buffers between solves, so warm
+// re-solves allocate no buffers, only the returned Field. A WorkspaceCache
+// drops them after each solve instead (releaseBuffers); the next solve
+// reallocates them.
 type Workspace struct {
 	sv   *solver
 	pool *sweepPool
@@ -84,13 +89,25 @@ func (w *Workspace) cycle(pool *sweepPool) float64 {
 }
 
 // hier returns the workspace's multigrid hierarchy, building it on
-// first use. The hierarchy aliases the solver's arrays on its fine
-// level, so it always iterates the current sources and capacity terms.
+// first use, with its iteration buffers in place. The hierarchy
+// aliases the solver's arrays on its fine level, so it always iterates
+// the current sources and capacity terms.
 func (w *Workspace) hier() *mgHier {
 	if w.mg == nil {
 		w.mg = newMGHier(w.sv)
 	}
+	w.mg.ensureBuffers(w.sv)
 	return w.mg
+}
+
+// releaseBuffers drops the per-solve iteration buffers of the solver
+// and the multigrid hierarchy, keeping the discretization and the
+// coarse operators; the next solve reallocates them.
+func (w *Workspace) releaseBuffers() {
+	w.sv.dropBuffers()
+	if w.mg != nil {
+		w.mg.dropBuffers()
+	}
 }
 
 // Solve computes the steady-state field, reusing the workspace's
@@ -113,6 +130,7 @@ func (w *Workspace) Solve(ctx context.Context, opt SolveOptions) (*Field, error)
 		return nil, err
 	}
 	pool := w.poolFor(workers)
+	w.sv.ensureBuffers()
 	sp := opt.Obs.StartSpan("thermal/solve")
 	defer sp.End()
 	method, omega := opt.Method, opt.Omega

@@ -18,10 +18,14 @@ import (
 //
 // Every solve resets the workspace to the ambient initial guess, so a
 // pooled solve is bit-identical to a fresh thermal.Solve of the same
-// stack. Solves sharing a key serialize (a Workspace is not safe for
-// concurrent use); distinct keys solve concurrently. The cache is safe
-// for concurrent use and evicts least-recently-used entries beyond its
-// bound, closing their worker pools.
+// stack. Between solves an entry keeps only its discretization and
+// operators (conductances, capacities, the multigrid coarse operators):
+// the iteration buffers are dropped when each solve returns and
+// reallocated by the next, so idle entries cost a fraction of a live
+// solve's memory. Solves sharing a key serialize (a Workspace is not
+// safe for concurrent use); distinct keys solve concurrently. The
+// cache is safe for concurrent use and evicts least-recently-used
+// entries beyond its bound, closing their worker pools.
 type WorkspaceCache struct {
 	mu      sync.Mutex
 	max     int
@@ -100,6 +104,7 @@ func (c *WorkspaceCache) Solve(ctx context.Context, key string, s *Stack, opt So
 		e.ws = ws
 	}
 	f, err := e.ws.Solve(ctx, opt)
+	e.ws.releaseBuffers()
 	// If the entry was evicted while this solve held it, its worker
 	// pool would otherwise leak: release it now instead of caching it.
 	c.mu.Lock()

@@ -48,6 +48,17 @@ go run ./cmd/thermal3d -baseline -grid 32 -solver multigrid \
     -metrics-out "$mgtmp/mg-metrics.jsonl" >/dev/null
 grep -q thermal_mg_cycles "$mgtmp/mg-metrics.jsonl"
 go run ./internal/obs/cmd/checksnap -families thermal,thermal_mg "$mgtmp/mg-metrics.jsonl"
+# Without -solver, steady solves run multigrid by default.
+go run ./cmd/thermal3d -baseline -grid 32 \
+    -metrics-out "$mgtmp/default-metrics.jsonl" >/dev/null
+grep -q thermal_mg_cycles "$mgtmp/default-metrics.jsonl"
+# -solver sor still selects line-SOR and completes, with no V-cycles.
+go run ./cmd/thermal3d -baseline -grid 32 -solver sor \
+    -metrics-out "$mgtmp/sor-metrics.jsonl" >/dev/null
+if grep -q thermal_mg_cycles "$mgtmp/sor-metrics.jsonl"; then
+    echo "verify: -solver sor ran multigrid V-cycles" >&2
+    exit 1
+fi
 rm -rf "$mgtmp"
 
 echo "== supervised campaign smoke =="
