@@ -2,14 +2,13 @@
 # bench.sh — run the headline benchmarks with -benchmem and write the
 # machine-readable baseline (BENCH_005.json by default): benchmark
 # name -> ns/op and allocs/op, plus the headline metrics — the Solve64
-# serial/parallel-8 ratio, the Solve64 line-SOR/multigrid ratio, and
-# the steady-state replay allocs/op. Committed baselines from this
-# script are how perf PRs prove their before/after claims. The baseline
-# name recorded inside the JSON is derived from the output filename, so
-# each capture is self-identifying.
+# line-SOR/multigrid ratio and the steady-state replay allocs/op.
+# Committed baselines from this script are how perf PRs prove their
+# before/after claims. The baseline name recorded inside the JSON is
+# derived from the output filename, so each capture is self-identifying.
 #
 # Host parallelism is recorded three ways, because they differ and the
-# difference matters when reading parallel-speedup numbers: "nproc" is
+# difference matters when comparing timings across hosts: "nproc" is
 # the shell's view of usable CPUs, "num_cpu" is runtime.NumCPU(), and
 # "gomaxprocs" is the GOMAXPROCS the benchmarks actually ran at (parsed
 # from the go test benchmark-name suffix; earlier baselines recorded
@@ -37,7 +36,7 @@ EOF
 numcpu=$(go run "$tmpdir/numcpu.go")
 
 go test -run '^$' -benchmem -benchtime 3x \
-    -bench 'BenchmarkSolve32$|BenchmarkSolve64$|BenchmarkSolve64Parallel8$|BenchmarkWorkspaceResolve32$|BenchmarkSolve32Multigrid$|BenchmarkSolve64Multigrid$|BenchmarkWorkspaceResolve64Multigrid$' \
+    -bench 'BenchmarkSolve32$|BenchmarkSolve64$|BenchmarkWorkspaceResolve32$|BenchmarkSolve32Multigrid$|BenchmarkSolve64Multigrid$|BenchmarkWorkspaceResolve64Multigrid$' \
     ./internal/thermal/ | tee -a "$tmp"
 go test -run '^$' -benchmem -benchtime 2s \
     -bench 'BenchmarkReplaySteadyState$' \
@@ -77,8 +76,6 @@ END {
     }
     printf "  },\n"
     printf "  \"headline\": {\n"
-    printf "    \"solve64_parallel8_speedup\": %.2f,\n", \
-        ns["BenchmarkSolve64"] / ns["BenchmarkSolve64Parallel8"]
     printf "    \"solve64_multigrid_speedup\": %.2f,\n", \
         ns["BenchmarkSolve64"] / ns["BenchmarkSolve64Multigrid"]
     printf "    \"replay_steady_state_allocs_per_op\": %s\n", \

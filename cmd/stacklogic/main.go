@@ -24,7 +24,7 @@ import (
 	"diestack/internal/wire"
 )
 
-// cli holds the shared flag group (-parallel, profiling, -metrics-out,
+// cli holds the shared flag group (-solver, profiling, -metrics-out,
 // -progress); fatal needs it to flush metrics on error exits.
 var cli *core.CLIFlags
 
@@ -64,7 +64,7 @@ func main() {
 		defer cancel()
 	}
 
-	spec := core.RunSpec{Seed: *seed, Grid: *grid, Parallelism: cli.Parallel, Method: cli.Method(), Obs: cli.Obs()}
+	spec := core.RunSpec{Seed: *seed, Grid: *grid, Method: cli.Method(), Obs: cli.Obs()}
 	if *autoOnly {
 		if err := printAutoFold(ctx, spec); err != nil {
 			fatal(err)

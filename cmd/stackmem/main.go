@@ -62,7 +62,7 @@ import (
 	"diestack/internal/workload"
 )
 
-// cli holds the shared flag group (-parallel, profiling, -metrics-out,
+// cli holds the shared flag group (-solver, profiling, -metrics-out,
 // -progress); fatal needs it to flush metrics on error exits.
 var cli *core.CLIFlags
 
@@ -176,7 +176,7 @@ func main() {
 	}
 
 	spec := core.RunSpec{Seed: *seed, Scale: *scale, Grid: *grid,
-		Parallelism: cli.Parallel, Method: cli.Method(), Obs: cli.Obs()}
+		Method: cli.Method(), Obs: cli.Obs()}
 
 	switch {
 	case *campaign && *serveAddr != "":
@@ -232,7 +232,7 @@ func main() {
 func runCampaign(ctx context.Context, rs core.RunSpec, bench string,
 	jobs, retries int, timeout time.Duration, manifestPath string) error {
 	spec := core.CampaignSpec{Seed: rs.Seed, Scale: rs.Scale, Grid: rs.Grid,
-		Parallelism: rs.Parallelism, Method: rs.Method, Obs: rs.Obs}
+		Method: rs.Method, Obs: rs.Obs}
 	if bench != "" {
 		spec.Benchmarks = []string{bench}
 	}
@@ -269,7 +269,7 @@ func runCampaignServe(ctx context.Context, rs core.RunSpec, bench, addr string,
 	leaseTTL time.Duration, leaseBudget int, drainTimeout time.Duration,
 	manifestPath string, injector *chaos.Injector) error {
 	spec := core.CampaignSpec{Seed: rs.Seed, Scale: rs.Scale, Grid: rs.Grid,
-		Parallelism: rs.Parallelism, Method: rs.Method}
+		Method: rs.Method}
 	if bench != "" {
 		spec.Benchmarks = []string{bench}
 	}

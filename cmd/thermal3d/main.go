@@ -32,7 +32,7 @@ import (
 	"diestack/internal/thermal"
 )
 
-// cli holds the shared flag group (-parallel, profiling, -metrics-out,
+// cli holds the shared flag group (-solver, profiling, -metrics-out,
 // -progress); fatal needs it to flush metrics on error exits.
 var cli *core.CLIFlags
 
@@ -74,7 +74,7 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	spec := core.RunSpec{Grid: *grid, Parallelism: cli.Parallel, Method: cli.Method(), Obs: cli.Obs()}
+	spec := core.RunSpec{Grid: *grid, Method: cli.Method(), Obs: cli.Obs()}
 	if *dtmOn {
 		if err := runDTM(ctx, spec, *tmax, *dtmHyst, *dtmDt, *dtmSteps, *dtmMinFreq,
 			*sensorNoise, *sensorOffset, *sensorStuck, *faultSeed); err != nil {

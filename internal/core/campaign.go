@@ -31,11 +31,6 @@ type CampaignSpec struct {
 	// SkipThermal drops the Figure 8 / Figure 11 jobs, leaving a
 	// memory-performance-only campaign.
 	SkipThermal bool
-	// Parallelism is the thermal solver's worker count per solve (0 =
-	// serial; see thermal.SolveOptions.Parallelism). It multiplies with
-	// harness.Config.Workers: a campaign running W jobs at P workers
-	// each keeps W*P goroutines busy.
-	Parallelism int
 	// Method selects the thermal iteration schedule for every thermal
 	// job (thermal.MethodDefault: multigrid for steady solves; see
 	// thermal.SolveOptions.Method).
@@ -54,13 +49,12 @@ type CampaignSpec struct {
 // spec.
 func (spec CampaignSpec) runSpec() RunSpec {
 	return RunSpec{
-		Seed:        spec.Seed,
-		Scale:       spec.Scale,
-		Grid:        spec.Grid,
-		Parallelism: spec.Parallelism,
-		Method:      spec.Method,
-		Obs:         spec.Obs,
-		Workspaces:  spec.Workspaces,
+		Seed:       spec.Seed,
+		Scale:      spec.Scale,
+		Grid:       spec.Grid,
+		Method:     spec.Method,
+		Obs:        spec.Obs,
+		Workspaces: spec.Workspaces,
 	}
 }
 
@@ -70,13 +64,9 @@ func (spec CampaignSpec) runSpec() RunSpec {
 // option named "fig11/logic/<variant>". Job names are stable so
 // manifests from identical specs are comparable.
 func CampaignJobs(spec CampaignSpec) ([]harness.Job, error) {
-	if spec.Parallelism < 0 || spec.Parallelism > thermal.MaxParallelism() {
+	if err := spec.Method.Validate(); err != nil {
 		// Fail the whole campaign up front rather than every thermal job
 		// individually, with the solver's own typed error.
-		return nil, &thermal.ParallelismError{Requested: spec.Parallelism, Max: thermal.MaxParallelism()}
-	}
-	if err := spec.Method.Validate(); err != nil {
-		// Same up-front treatment for an unknown iteration schedule.
 		return nil, err
 	}
 	benches := workload.All()
@@ -140,6 +130,7 @@ func CampaignJobs(spec CampaignSpec) ([]harness.Job, error) {
 // the fields that determine the job list and every job's result. Obs
 // is process-local and deliberately absent — each side of a
 // distributed campaign instruments with its own registry.
+//
 //canon:wire
 type wireSpec struct {
 	Seed        uint64   `json:"seed"`
@@ -147,7 +138,6 @@ type wireSpec struct {
 	Grid        int      `json:"grid"`
 	Benchmarks  []string `json:"benchmarks,omitempty"`
 	SkipThermal bool     `json:"skip_thermal,omitempty"`
-	Parallelism int      `json:"parallelism,omitempty"`
 	// Method travels as the CLI spelling ("multigrid", "line-sor"), not
 	// the enum ordinal, so the wire form stays self-describing. It is
 	// omitted for thermal.MethodDefault, so default specs keep their
@@ -173,7 +163,6 @@ func (spec CampaignSpec) EncodeWire() (json.RawMessage, error) {
 		Grid:        spec.Grid,
 		Benchmarks:  spec.Benchmarks,
 		SkipThermal: spec.SkipThermal,
-		Parallelism: spec.Parallelism,
 	}
 	if spec.Method != thermal.MethodDefault {
 		w.Method = spec.Method.String()
@@ -204,7 +193,6 @@ func DecodeWireSpec(raw json.RawMessage) (CampaignSpec, error) {
 		Grid:        w.Grid,
 		Benchmarks:  w.Benchmarks,
 		SkipThermal: w.SkipThermal,
-		Parallelism: w.Parallelism,
 		Method:      m,
 	}, nil
 }

@@ -145,7 +145,7 @@ func TestThermalErrorSurfacedThroughCore(t *testing.T) {
 
 func TestCampaignSpecWireRoundTrip(t *testing.T) {
 	spec := CampaignSpec{Seed: 7, Scale: 0.05, Grid: 16,
-		Benchmarks: []string{"gauss", "pcg"}, SkipThermal: true, Parallelism: 2,
+		Benchmarks: []string{"gauss", "pcg"}, SkipThermal: true,
 		Method: thermal.MethodMultigrid}
 	raw, err := spec.EncodeWire()
 	if err != nil {
@@ -170,6 +170,9 @@ func TestCampaignSpecWireRoundTrip(t *testing.T) {
 	if _, err := DecodeWireSpec([]byte(`{"seed":1,"lease_style":"new"}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+	if _, err := DecodeWireSpec([]byte(`{"seed":1,"parallelism":2}`)); err == nil {
+		t.Fatal("removed parallelism field accepted")
+	}
 	if _, err := DecodeWireSpec([]byte(`{garbage`)); err == nil {
 		t.Fatal("garbage accepted")
 	}
@@ -191,8 +194,8 @@ func TestCampaignSpecWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCampaignRejectsBadMethod mirrors the Parallelism up-front
-// validation: one typed failure for the whole campaign.
+// TestCampaignRejectsBadMethod: an unknown method is validated up
+// front, one typed failure for the whole campaign.
 func TestCampaignRejectsBadMethod(t *testing.T) {
 	_, err := CampaignJobs(CampaignSpec{Scale: 0.01, Method: thermal.Method(3)})
 	if !errors.Is(err, thermal.ErrBadMethod) {

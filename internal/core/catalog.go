@@ -129,12 +129,12 @@ func (e Experiment) ParamsSchema() map[string]string {
 // fields that determine an experiment's result. Obs and Workspaces are
 // process-local and deliberately absent. Every field omits its
 // default, so a zero spec is the empty object.
+//
 //canon:wire
 type specWire struct {
-	Seed        uint64  `json:"seed,omitempty"`
-	Scale       float64 `json:"scale,omitempty"`
-	Grid        int     `json:"grid,omitempty"`
-	Parallelism int     `json:"parallelism,omitempty"`
+	Seed  uint64  `json:"seed,omitempty"`
+	Scale float64 `json:"scale,omitempty"`
+	Grid  int     `json:"grid,omitempty"`
 	// Method travels as the CLI spelling ("multigrid", "line-sor"),
 	// omitted for thermal.MethodDefault — the same convention as the
 	// campaign wire spec. An explicit line-SOR is always written.
@@ -142,12 +142,7 @@ type specWire struct {
 }
 
 func specWireFrom(spec RunSpec) specWire {
-	w := specWire{
-		Seed:        spec.Seed,
-		Scale:       spec.Scale,
-		Grid:        spec.Grid,
-		Parallelism: spec.Parallelism,
-	}
+	w := specWire{Seed: spec.Seed, Scale: spec.Scale, Grid: spec.Grid}
 	if spec.Method != thermal.MethodDefault {
 		w.Method = spec.Method.String()
 	}
@@ -159,17 +154,12 @@ func specFromWire(w specWire) (RunSpec, error) {
 	if err != nil {
 		return RunSpec{}, err
 	}
-	return RunSpec{
-		Seed:        w.Seed,
-		Scale:       w.Scale,
-		Grid:        w.Grid,
-		Parallelism: w.Parallelism,
-		Method:      m,
-	}, nil
+	return RunSpec{Seed: w.Seed, Scale: w.Scale, Grid: w.Grid, Method: m}, nil
 }
 
 // requestWire is the canonical body of an experiment invocation — what
 // stackd hashes into its cache key.
+//
 //canon:wire
 type requestWire struct {
 	Experiment string          `json:"experiment"`
@@ -289,6 +279,7 @@ func sweepLayerForSlug(s string) (SweepLayer, error) {
 // FaultParams is the wire form of fault.Config: stacked-DRAM error
 // rates, dead banks, via-lane loss, and sensor faults. The zero value
 // injects nothing.
+//
 //canon:wire
 type FaultParams struct {
 	Seed              uint64  `json:"seed,omitempty"`
@@ -320,6 +311,7 @@ func (p *FaultParams) config() fault.Config {
 }
 
 // MemoryPerfParams selects one cell of the Figure 5 sweep.
+//
 //canon:wire
 type MemoryPerfParams struct {
 	// CapacityMB picks the configuration (4, 12, 32, 64; 0 = 4).
@@ -331,6 +323,7 @@ type MemoryPerfParams struct {
 }
 
 // MemoryThermalParams selects one Figure 8 stack.
+//
 //canon:wire
 type MemoryThermalParams struct {
 	// CapacityMB picks the configuration (4, 12, 32, 64; 0 = 4).
@@ -338,6 +331,7 @@ type MemoryThermalParams struct {
 }
 
 // LogicThermalParams selects one Figure 11 bar.
+//
 //canon:wire
 type LogicThermalParams struct {
 	// Variant is planar, 3d, or 3d-worstcase ("" = planar).
@@ -345,6 +339,7 @@ type LogicThermalParams struct {
 }
 
 // Table4Params sizes the pipeline-gain measurement.
+//
 //canon:wire
 type Table4Params struct {
 	// Instructions per workload profile (0 = DefaultTable4Instructions).
@@ -352,6 +347,7 @@ type Table4Params struct {
 }
 
 // Fig3Params selects the sensitivity sweep's layer and points.
+//
 //canon:wire
 type Fig3Params struct {
 	// Layer is cu-metal or bond ("" = cu-metal).
@@ -362,6 +358,7 @@ type Fig3Params struct {
 }
 
 // MultiDieParams sizes the tall-stack sweep.
+//
 //canon:wire
 type MultiDieParams struct {
 	// MaxDies is the tallest stack solved (0 = DefaultMaxDies).
@@ -377,6 +374,7 @@ const (
 )
 
 // ManagedThermalParams configures the closed-loop DTM run.
+//
 //canon:wire
 type ManagedThermalParams struct {
 	// Variant is planar, 3d, or 3d-worstcase ("" = planar).
@@ -397,6 +395,7 @@ type ManagedThermalParams struct {
 
 // CampaignParams configures the full paper sweep (see CampaignSpec for
 // the semantics; Seed/Scale/Grid come from the request spec).
+//
 //canon:wire
 type CampaignParams struct {
 	Benchmarks  []string `json:"benchmarks,omitempty"`
@@ -650,10 +649,7 @@ func initCatalog() {
 					steps = DefaultManagedSteps
 				}
 				cfg := dtm.Config{TmaxC: tmax, HysteresisC: p.HysteresisC, MinFreq: p.MinFreq}
-				opt := thermal.TransientOptions{
-					Dt: dt, Steps: steps,
-					Parallelism: spec.Parallelism, Method: spec.Method,
-				}
+				opt := thermal.TransientOptions{Dt: dt, Steps: steps, Method: spec.Method}
 				return RunManagedLogicThermal(ctx, spec, o, cfg, p.Faults.config(), opt)
 			},
 		},
@@ -667,8 +663,7 @@ func initCatalog() {
 				cs := CampaignSpec{
 					Seed: spec.Seed, Scale: spec.Scale, Grid: spec.Grid,
 					Benchmarks: p.Benchmarks, SkipThermal: p.SkipThermal,
-					Parallelism: spec.Parallelism, Method: spec.Method,
-					Obs: spec.Obs, Workspaces: spec.Workspaces,
+					Method: spec.Method, Obs: spec.Obs, Workspaces: spec.Workspaces,
 				}
 				return RunCampaign(ctx, cs, harness.Config{Workers: p.Workers, Retries: p.Retries})
 			},

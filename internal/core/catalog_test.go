@@ -134,7 +134,7 @@ func TestEncodeRequestCanonical(t *testing.T) {
 	}
 
 	// Decode → re-encode canonicalizes a sprawling hand-written body.
-	req, err := e.DecodeRequest([]byte(`{"spec":{"seed":1,"parallelism":0},"params":{"benchmark":"","capacity_mb":0}}`))
+	req, err := e.DecodeRequest([]byte(`{"spec":{"seed":1,"grid":0,"scale":0},"params":{"benchmark":"","capacity_mb":0}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,6 +144,10 @@ func TestEncodeRequestCanonical(t *testing.T) {
 	}
 	if string(re) != string(bare) {
 		t.Fatalf("decode/re-encode not canonical: %s vs %s", re, bare)
+	}
+	// The removed "parallelism" key is unknown: strict decode rejects it.
+	if _, err := e.DecodeRequest([]byte(`{"spec":{"parallelism":2}}`)); err == nil {
+		t.Fatal("legacy parallelism key accepted")
 	}
 
 	// Non-default method and params survive the round trip.
@@ -236,20 +240,20 @@ func TestCatalogMatchesDirectCall(t *testing.T) {
 }
 
 // TestCampaignWirePin pins the exact canonical bytes and cache-key
-// hash of a line-SOR campaign spec: old coordinators never sent a
-// "method" key, and workers hash these bytes to fence campaigns, so
-// any drift here is a cross-version interop break.
+// hash of a default-solver campaign spec: the default method stays off
+// the wire, and workers hash these bytes to fence campaigns, so any
+// drift here is a cross-version interop break.
 func TestCampaignWirePin(t *testing.T) {
-	spec := CampaignSpec{Seed: 3, Scale: 0.5, Grid: 64, Parallelism: 2}
+	spec := CampaignSpec{Seed: 3, Scale: 0.5, Grid: 64}
 	raw, err := spec.EncodeWire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantBytes = `{"seed":3,"scale":0.5,"grid":64,"parallelism":2}`
+	const wantBytes = `{"seed":3,"scale":0.5,"grid":64}`
 	if string(raw) != wantBytes {
 		t.Fatalf("wire bytes drifted:\ngot  %s\nwant %s", raw, wantBytes)
 	}
-	const wantHash = "0320dd46db3f5be05ea38182d46375ed550a8de91beb3294f2613e319318e2dd"
+	const wantHash = "7d4cf354b064e77324ba9fa359a5e55308fa27bf1cd092b5459ceeabe96369bc"
 	if h := canon.HashBytes(raw); h != wantHash {
 		t.Fatalf("wire hash drifted: %s", h)
 	}

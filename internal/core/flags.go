@@ -12,11 +12,11 @@ import (
 	"diestack/internal/thermal"
 )
 
-// CLIFlags groups the knobs every cmd shares — the thermal solver's
-// per-solve parallelism, pprof output, and the observability sinks —
-// so each binary registers them once instead of redeclaring the same
-// five flags. Register on the command's FlagSet before flag.Parse,
-// then bracket main with Start/Stop:
+// CLIFlags groups the knobs every cmd shares — the thermal solver
+// schedule, pprof output, and the observability sinks — so each binary
+// registers them once instead of redeclaring the same flags. Register
+// on the command's FlagSet before flag.Parse, then bracket main with
+// Start/Stop:
 //
 //	cli := core.RegisterCLIFlags(flag.CommandLine, true)
 //	flag.Parse()
@@ -24,13 +24,10 @@ import (
 //	defer cli.Stop()
 //	... pass cli.Obs() into RunSpec / harness.Config ...
 type CLIFlags struct {
-	// Parallel is the thermal solver worker count per solve (0 =
-	// serial). Only registered when the cmd asked for it.
-	Parallel int
 	// Solver is the raw -solver flag value ("", "sor" or
-	// "multigrid"); Start parses it into the Method accessor.
-	// Registered together with -parallel (only cmds that run thermal
-	// solves get either).
+	// "multigrid"); Start parses it into the Method accessor. Only
+	// registered when the cmd asked for it (cmds that run thermal
+	// solves).
 	Solver string
 	// CPUProfile / MemProfile are pprof output paths ("" = off).
 	CPUProfile string
@@ -40,22 +37,21 @@ type CLIFlags struct {
 	// Progress enables the live one-line progress reporter on stderr.
 	Progress bool
 
-	withParallel bool
-	method       thermal.Method
-	reg          *obs.Registry
-	exporter     *obs.Exporter
-	progress     *obs.Progress
-	metricsFile  *os.File
-	stopOnce     sync.Once
+	withSolver  bool
+	method      thermal.Method
+	reg         *obs.Registry
+	exporter    *obs.Exporter
+	progress    *obs.Progress
+	metricsFile *os.File
+	stopOnce    sync.Once
 }
 
 // RegisterCLIFlags registers the shared flags on fs and returns the
-// holder. withParallel controls whether -parallel is registered —
-// cmds with no thermal solves (tracegen) skip it.
-func RegisterCLIFlags(fs *flag.FlagSet, withParallel bool) *CLIFlags {
-	f := &CLIFlags{withParallel: withParallel}
-	if withParallel {
-		fs.IntVar(&f.Parallel, "parallel", 0, "line-SOR thermal solver workers per solve (0 = serial)")
+// holder. withSolver controls whether -solver is registered — cmds
+// with no thermal solves (tracegen, stackd) skip it.
+func RegisterCLIFlags(fs *flag.FlagSet, withSolver bool) *CLIFlags {
+	f := &CLIFlags{withSolver: withSolver}
+	if withSolver {
 		fs.StringVar(&f.Solver, "solver", "", "thermal iteration schedule: sor or multigrid (default: multigrid for steady solves, sor for transients)")
 	}
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -70,10 +66,7 @@ func RegisterCLIFlags(fs *flag.FlagSet, withParallel bool) *CLIFlags {
 // with its exporter and progress reporter. Call Stop on every exit
 // path (it is idempotent).
 func (f *CLIFlags) Start() error {
-	if f.withParallel && (f.Parallel < 0 || f.Parallel > thermal.MaxParallelism()) {
-		return fmt.Errorf("-parallel must be in [0,%d], got %d", thermal.MaxParallelism(), f.Parallel)
-	}
-	if f.withParallel {
+	if f.withSolver {
 		m, err := thermal.ParseMethod(f.Solver)
 		if err != nil {
 			return fmt.Errorf("-solver: %w", err)

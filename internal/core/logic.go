@@ -102,9 +102,8 @@ func logicKey(o LogicOption, grid int) string {
 }
 
 // RunLogicThermal solves one Figure 11 bar. spec.Grid <= 0 selects the
-// default resolution; spec.Parallelism is the solver worker count. A
-// non-converging solve surfaces thermal.ErrNotConverged wrapped with
-// the option being solved.
+// default resolution. A non-converging solve surfaces
+// thermal.ErrNotConverged wrapped with the option being solved.
 func RunLogicThermal(ctx context.Context, spec RunSpec, o LogicOption) (LogicThermal, error) {
 	fp, err := o.Floorplan()
 	if err != nil {

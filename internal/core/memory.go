@@ -280,10 +280,9 @@ type MemoryThermal struct {
 }
 
 // RunMemoryThermal solves the option's thermal stack (Figure 8).
-// spec.Grid <= 0 selects the default resolution; spec.Parallelism is
-// the solver worker count. A solver that fails to converge surfaces
-// thermal.ErrNotConverged (or thermal.ErrDiverged) wrapped with the
-// option it was solving.
+// spec.Grid <= 0 selects the default resolution. A solver that fails
+// to converge surfaces thermal.ErrNotConverged (or thermal.ErrDiverged)
+// wrapped with the option it was solving.
 func RunMemoryThermal(ctx context.Context, spec RunSpec, o MemoryOption) (MemoryThermal, error) {
 	stack, fp, err := o.buildStack(spec.Grid)
 	if err != nil {
@@ -309,7 +308,7 @@ func RunMemoryThermal(ctx context.Context, spec RunSpec, o MemoryOption) (Memory
 // RunMemoryThermalMap solves one option's stack and returns the CPU
 // active layer's lateral temperature map — Figure 8(b) is this map for
 // the 32 MB configuration. spec.Grid <= 0 selects the default
-// resolution; spec.Parallelism is the solver worker count.
+// resolution.
 func RunMemoryThermalMap(ctx context.Context, spec RunSpec, o MemoryOption) ([][]float64, error) {
 	stack, _, err := o.buildStack(spec.Grid)
 	if err != nil {

@@ -98,8 +98,7 @@ func RunFigure3(ctx context.Context, spec RunSpec, layer SweepLayer, ks []float6
 
 // Figure6Maps returns the baseline planar power-density map (W/m²) and
 // temperature map (degC) of the active layer, the two panels of
-// Figure 6. spec.Grid <= 0 selects the default resolution;
-// spec.Parallelism is the solver worker count.
+// Figure 6. spec.Grid <= 0 selects the default resolution.
 func Figure6Maps(ctx context.Context, spec RunSpec) (powerDensity [][]float64, temperature [][]float64, err error) {
 	fp := floorplan.Core2DuoPlanar()
 	nx, ny := gridOrDefault(spec.Grid)

@@ -9,11 +9,11 @@ import (
 
 // RunSpec carries the cross-cutting parameters shared by every core
 // experiment. Each Run* entry point reads only the fields it needs —
-// a replay ignores Grid and Parallelism, a thermal solve ignores Seed
-// and Scale — so one spec can drive a whole campaign. The zero value
+// a replay ignores Grid and Method, a thermal solve ignores Seed and
+// Scale — so one spec can drive a whole campaign. The zero value
 // means: seed 0, reference-scale traces are NOT selected (Scale must
-// be positive for trace replays), default thermal grid, serial solver,
-// no instrumentation.
+// be positive for trace replays), default thermal grid and solver, no
+// instrumentation.
 type RunSpec struct {
 	// Seed seeds trace generation (replay experiments).
 	Seed uint64
@@ -22,8 +22,10 @@ type RunSpec struct {
 	Scale float64
 	// Grid is the thermal lateral resolution (<= 0 selects the default).
 	Grid int
-	// Parallelism is the thermal solver's worker count per solve (0 =
-	// serial; see thermal.SolveOptions.Parallelism).
+	// Parallelism is not read by any experiment and never travels on
+	// the wire.
+	//
+	// Deprecated: ignored; solves are serial.
 	Parallelism int
 	// Method selects the thermal iteration schedule. The zero value,
 	// thermal.MethodDefault, runs multigrid for steady solves and
@@ -41,16 +43,15 @@ type RunSpec struct {
 	Workspaces *thermal.WorkspaceCache
 }
 
-// solveStack solves s on the spec's solver settings (Method,
-// Parallelism, Obs), routing through the spec's workspace cache when
-// one is attached. key names the stack shape under the WorkspaceCache
-// contract: every stack solved under one key must be built
-// identically, so each call site derives its key from everything that
-// shaped the stack (experiment, configuration, grid).
+// solveStack solves s on the spec's solver settings (Method, Obs),
+// routing through the spec's workspace cache when one is attached. key
+// names the stack shape under the WorkspaceCache contract: every stack
+// solved under one key must be built identically, so each call site
+// derives its key from everything that shaped the stack (experiment,
+// configuration, grid).
 func solveStack(ctx context.Context, spec RunSpec, key string, s *thermal.Stack) (*thermal.Field, error) {
 	return spec.Workspaces.Solve(ctx, key, s, thermal.SolveOptions{
-		Method:      spec.Method,
-		Parallelism: spec.Parallelism,
-		Obs:         spec.Obs,
+		Method: spec.Method,
+		Obs:    spec.Obs,
 	})
 }

@@ -31,6 +31,9 @@ import (
 // default schedule (multigrid for steady solves) where version 1 ran
 // line-SOR, so the same spec bytes and hash now mean different
 // computations and the two versions must not share a campaign.
+// Dropping the "parallelism" key needed no version 3: an old
+// coordinator that sends it fails at the new worker's strict decode,
+// and an old worker runs a new spec serially, bit-identical to before.
 const protoVersion = 2
 
 // maxLineBytes bounds one protocol line; a job value bigger than this

@@ -353,7 +353,6 @@ func Run(ctx context.Context, s *thermal.Stack, opt thermal.TransientOptions, ct
 	if err != nil {
 		return Result{}, fmt.Errorf("dtm: transient solve: %w", err)
 	}
-	defer w.Close()
 	return RunWorkspace(ctx, w, opt, ctrl)
 }
 

@@ -42,11 +42,9 @@ type Job struct {
 // Config supervises a campaign. The zero value runs jobs one at a
 // time with no deadline and no retries.
 type Config struct {
-	// Workers bounds concurrent jobs (0 = GOMAXPROCS). Jobs that
-	// themselves fan out — e.g. thermal solves with a nonzero
-	// core.CampaignSpec.Parallelism — multiply this: W jobs at P solver
-	// workers each keep up to W*P goroutines busy, so split GOMAXPROCS
-	// between the two knobs rather than maxing both.
+	// Workers bounds concurrent jobs (0 = GOMAXPROCS). Each job runs
+	// on one goroutine (thermal solves are serial), so Workers is also
+	// the campaign's CPU parallelism.
 	Workers int
 	// Timeout is the per-attempt deadline (0 = none).
 	Timeout time.Duration

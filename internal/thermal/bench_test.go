@@ -28,25 +28,6 @@ func BenchmarkSolve64(b *testing.B) {
 	}
 }
 
-// BenchmarkSolve64Parallel8 is the headline parallel benchmark: the
-// same solve as BenchmarkSolve64 on an 8-worker pipelined pool, with
-// bit-identical output. Speedup requires cores; on a single-CPU host
-// the workers time-share and this measures pipeline overhead instead.
-func BenchmarkSolve64Parallel8(b *testing.B) {
-	s := benchStack(64)
-	w, err := NewWorkspace(s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer w.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.Solve(context.Background(), SolveOptions{Method: MethodLineSOR, Parallelism: 8}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSolve32Multigrid solves the 32-class stack on the multigrid
 // schedule, hierarchy build included (cold-solve cost).
 func BenchmarkSolve32Multigrid(b *testing.B) {
@@ -79,7 +60,6 @@ func BenchmarkWorkspaceResolve32(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer w.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := w.Solve(context.Background(), SolveOptions{Method: MethodLineSOR}); err != nil {
@@ -98,7 +78,6 @@ func BenchmarkWorkspaceResolve64Multigrid(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer w.Close()
 	if _, err := w.Solve(context.Background(), SolveOptions{Method: MethodMultigrid}); err != nil {
 		b.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package thermal
 import (
 	"errors"
 	"fmt"
-	"runtime"
 )
 
 // Sentinel errors for the solver's two failure modes. Both are wrapped
@@ -53,54 +52,6 @@ func (e *ConvergenceError) Unwrap() error {
 		return ErrDiverged
 	}
 	return ErrNotConverged
-}
-
-// ErrBadParallelism reports a Parallelism setting outside [0,
-// MaxParallelism()]. It is wrapped by *ParallelismError, which carries
-// the offending value; match with errors.Is against this sentinel and
-// errors.As against *ParallelismError.
-var ErrBadParallelism = errors.New("thermal: invalid Parallelism")
-
-// ParallelismError is the typed error returned for a misconfigured
-// SolveOptions.Parallelism or TransientOptions.Parallelism.
-type ParallelismError struct {
-	// Requested is the rejected setting.
-	Requested int
-	// Max is the cap in effect (MaxParallelism() at the time).
-	Max int
-}
-
-// Error implements the error interface.
-func (e *ParallelismError) Error() string {
-	if e.Requested < 0 {
-		return fmt.Sprintf("thermal: Parallelism must be non-negative, got %d", e.Requested)
-	}
-	return fmt.Sprintf("thermal: Parallelism %d exceeds the cap of %d (4x GOMAXPROCS, floor 8)", e.Requested, e.Max)
-}
-
-// Unwrap maps the error onto its sentinel for errors.Is.
-func (e *ParallelismError) Unwrap() error { return ErrBadParallelism }
-
-// MaxParallelism returns the largest accepted Parallelism setting:
-// four times GOMAXPROCS, with a floor of 8. The pipeline schedule is
-// correct at any worker count (excess workers merely time-share), so
-// the cap exists to reject configuration mistakes, not modest
-// oversubscription; the floor keeps the canonical 8-worker setting
-// valid on small hosts.
-func MaxParallelism() int {
-	if n := 4 * runtime.GOMAXPROCS(0); n > 8 {
-		return n
-	}
-	return 8
-}
-
-// checkParallelism validates a Parallelism setting and returns the
-// worker count to use (0 selects the serial path).
-func checkParallelism(p int) (int, error) {
-	if p < 0 || p > MaxParallelism() {
-		return 0, &ParallelismError{Requested: p, Max: MaxParallelism()}
-	}
-	return p, nil
 }
 
 // ErrBadMethod reports a SolveOptions.Method (or

@@ -24,9 +24,9 @@ const (
 	MethodDefault Method = iota
 	// MethodLineSOR is the alternating-direction line-SOR schedule:
 	// tridiagonal solves along z, x, and y lines, iterated to
-	// convergence. It is the bit-compatibility baseline — serial and
-	// pipelined-parallel solves produce identical fields — but needs
-	// hundreds to thousands of cycles on fine grids.
+	// convergence. It is the bit-compatibility baseline with releases
+	// before multigrid became the steady default, but needs hundreds to
+	// thousands of cycles on fine grids.
 	MethodLineSOR
 	// MethodMultigrid is the geometric multigrid schedule: V-cycles
 	// over a lateral coarsening hierarchy with red-black z-line
@@ -56,9 +56,8 @@ func (m Method) String() string {
 }
 
 // Validate rejects unknown Method values with a *MethodError wrapping
-// ErrBadMethod (mirroring the Parallelism validation), so a typo'd or
-// stale configuration fails loudly instead of silently running the
-// default schedule.
+// ErrBadMethod, so a typo'd or stale configuration fails loudly instead
+// of silently running the default schedule.
 func (m Method) Validate() error {
 	switch m {
 	case MethodDefault, MethodLineSOR, MethodMultigrid:

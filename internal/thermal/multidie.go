@@ -19,8 +19,7 @@ import "fmt"
 //
 // Tall stacks carry proportionally more z cells, so their solves are
 // the ones that benefit most from a Workspace (one discretization for
-// many solves) and SolveOptions.Parallelism (pipelined parallel
-// sweeps).
+// many solves).
 func MultiDieStack(dieW, dieH float64, dies []DieSpec, opt StackOptions) (*Stack, error) {
 	if len(dies) < 2 {
 		return nil, fmt.Errorf("thermal: MultiDieStack needs at least 2 dies, got %d", len(dies))

@@ -69,9 +69,7 @@ func TestMultigridDeterministic(t *testing.T) {
 		return w, f
 	}
 	w1, f1 := solve()
-	defer w1.Close()
-	w2, f2 := solve()
-	defer w2.Close()
+	_, f2 := solve()
 	for i := range f1.t {
 		if f1.t[i] != f2.t[i] {
 			t.Fatalf("fresh workspaces differ at cell %d: %v vs %v", i, f1.t[i], f2.t[i])
@@ -91,18 +89,15 @@ func TestMultigridDeterministic(t *testing.T) {
 // TestMultigridFallbackRecovers injects a divergence (smoother
 // relaxation at 2.5, outside SOR's (0,2) stability interval) and
 // requires the method-aware ladder to land on damped line-SOR and
-// return a converged field. Parallelism 2 keeps the fallback's worker
-// pool in play under -race.
+// return a converged field.
 func TestMultigridFallbackRecovers(t *testing.T) {
 	w, err := NewWorkspace(benchStack(32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
 	f, err := w.Solve(context.Background(), SolveOptions{
-		Method:      MethodMultigrid,
-		Omega:       2.5,
-		Parallelism: 2,
+		Method: MethodMultigrid,
+		Omega:  2.5,
 	})
 	if err != nil {
 		t.Fatalf("fallback did not recover: %v", err)
@@ -135,7 +130,7 @@ func TestMultigridFallbackExhausts(t *testing.T) {
 }
 
 // TestMethodValidation covers the typed-error contract for unknown
-// Method values, mirroring the Parallelism validation.
+// Method values.
 func TestMethodValidation(t *testing.T) {
 	bad := Method(99)
 	if err := bad.Validate(); !errors.Is(err, ErrBadMethod) {
@@ -252,7 +247,6 @@ func TestMultigridVCycleAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
 	if _, err := w.Solve(context.Background(), SolveOptions{Method: MethodMultigrid}); err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +292,6 @@ func TestWorkspaceWarmResolveAllocs(t *testing.T) {
 			t.Errorf("%v: warm re-solve allocates %d bytes, want under %d (one Field copy is %d)",
 				m, perSolve, 2*fieldBytes, fieldBytes)
 		}
-		w.Close()
 	}
 }
 

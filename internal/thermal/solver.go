@@ -37,14 +37,9 @@ type SolveOptions struct {
 	// growth). Zero selects the default (2); negative disables recovery
 	// so a divergence fails immediately with ErrDiverged.
 	MaxRecoveries int
-	// Parallelism runs each line-SOR sweep on this many pipelined
-	// workers (0 = serial, the default); multigrid solves ignore it
-	// unless the recovery ladder falls back to line-SOR. The pipeline
-	// preserves the serial Gauss-Seidel dependency order, so the solved
-	// field is bit-identical to the serial solver at every setting —
-	// the knob trades CPU for wall clock, never accuracy. Negative
-	// values and values above MaxParallelism() are rejected with a
-	// *ParallelismError wrapping ErrBadParallelism.
+	// Parallelism is not read by the solver.
+	//
+	// Deprecated: ignored; solves are serial.
 	Parallelism int
 	// Obs, when non-nil, receives solver metrics (thermal_solves,
 	// thermal_sweeps, thermal_divergence_retries counters; thermal_peak_c
@@ -91,7 +86,7 @@ const maxCellDZ = 1e-3
 
 // Field is a solved steady-state temperature distribution. It owns its
 // temperature array (copied out of the solver), so it stays valid after
-// the Workspace that produced it is reused or closed.
+// the Workspace that produced it is reused.
 type Field struct {
 	stack *Stack
 	// zOfLayer[i] lists the z-cell indices belonging to stack layer i.
@@ -107,7 +102,6 @@ type Field struct {
 }
 
 // lineScratch is the tridiagonal assembly/solve scratch for one line.
-// Each worker owns one, so lines can be solved concurrently.
 type lineScratch struct {
 	sub, diag, sup, rhs, cp, dp []float64
 }
@@ -149,8 +143,7 @@ type solver struct {
 	gTop, gBot []float64 // boundary conductance per lateral cell
 	// cellCap is each cell's heat capacity in J/K.
 	cellCap []float64
-	sc      *lineScratch // serial-path scratch, sized to the longest axis
-	maxAxis int
+	sc      *lineScratch // sized to the longest axis
 
 	// Iteration buffers, nil while dropped.
 	baseQ []float64 // rasterized heat source per cell, W
@@ -199,7 +192,6 @@ func Solve(ctx context.Context, s *Stack, opt SolveOptions) (*Field, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer w.Close()
 	return w.Solve(ctx, opt)
 }
 
@@ -271,7 +263,6 @@ func newSolver(s *Stack) (*solver, error) {
 	if ny > maxAxis {
 		maxAxis = ny
 	}
-	sv.maxAxis = maxAxis
 	sv.sc = newLineScratch(maxAxis)
 
 	// Per-cell conductivity honoring bounded layer extents. Boundary

@@ -43,9 +43,9 @@ type TransientOptions struct {
 	// time step (and doubled step count, preserving the horizon).
 	// Zero selects the default (2); negative disables recovery.
 	MaxRecoveries int
-	// Parallelism runs the inner sweeps on this many pipelined workers
-	// (0 = serial, the default), with the same bit-identical-to-serial
-	// guarantee and validation as SolveOptions.Parallelism.
+	// Parallelism is not read by the solver.
+	//
+	// Deprecated: ignored; solves are serial.
 	Parallelism int
 	// PowerScale, when non-nil, is consulted before every step with
 	// the current simulated time and the previous step's peak
@@ -135,14 +135,12 @@ func SolveTransient(ctx context.Context, s *Stack, opt TransientOptions) (*Trans
 	if err != nil {
 		return nil, err
 	}
-	defer w.Close()
 	return w.SolveTransient(ctx, opt)
 }
 
 // SolveTransient integrates the transient response, reusing the
-// workspace's discretization and worker pool across every time step
-// and recovery attempt. Semantics match the package-level
-// SolveTransient.
+// workspace's discretization across every time step and recovery
+// attempt. Semantics match the package-level SolveTransient.
 func (w *Workspace) SolveTransient(ctx context.Context, opt TransientOptions) (*TransientResult, error) {
 	if err := opt.Method.Validate(); err != nil {
 		return nil, err
@@ -154,11 +152,6 @@ func (w *Workspace) SolveTransient(ctx context.Context, opt TransientOptions) (*
 	if opt.Omega <= 0 || opt.Omega >= 2 {
 		return nil, fmt.Errorf("thermal: omega %g out of (0,2)", opt.Omega)
 	}
-	workers, err := checkParallelism(opt.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	pool := w.poolFor(workers)
 	w.sv.ensureBuffers()
 	sp := opt.Obs.StartSpan("thermal/transient")
 	defer sp.End()
@@ -166,7 +159,7 @@ func (w *Workspace) SolveTransient(ctx context.Context, opt TransientOptions) (*
 	method, omega := opt.Method, opt.Omega
 	dt, steps := opt.Dt, opt.Steps
 	for attempt := 0; ; attempt++ {
-		res, err := w.transientOnce(ctx, opt, pool, method, omega, dt, steps, attempt)
+		res, err := w.transientOnce(ctx, opt, method, omega, dt, steps, attempt)
 		var ce *ConvergenceError
 		if errors.As(err, &ce) && ce.Diverged && attempt < opt.MaxRecoveries {
 			opt.Obs.Counter("thermal_divergence_retries").Inc()
@@ -186,7 +179,7 @@ func (w *Workspace) SolveTransient(ctx context.Context, opt TransientOptions) (*
 }
 
 // transientOnce runs one integration attempt.
-func (w *Workspace) transientOnce(ctx context.Context, opt TransientOptions, pool *sweepPool, method Method, omega, dt float64, steps, recoveries int) (*TransientResult, error) {
+func (w *Workspace) transientOnce(ctx context.Context, opt TransientOptions, method Method, omega, dt float64, steps, recoveries int) (*TransientResult, error) {
 	sv := w.sv
 	sv.reset(omega)
 	if opt.InitialC != 0 {
@@ -249,7 +242,7 @@ func (w *Workspace) transientOnce(ctx context.Context, opt TransientOptions, poo
 				h.vcycle(omega)
 				lastDelta = maxAbsDiff(sv.t, h.tPrev)
 			} else {
-				lastDelta = w.cycle(pool)
+				lastDelta = w.cycle()
 			}
 			if lastDelta < 1e-6 {
 				break

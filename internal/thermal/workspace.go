@@ -8,26 +8,24 @@ import (
 	"diestack/internal/obs"
 )
 
-// Workspace holds a discretized stack and its worker pool so repeated
-// solves — divergence-recovery retries, transient time steps, DTM
-// sample loops, sensitivity sweeps over the same geometry — skip
-// re-discretization and re-allocation. Power map mutations between
-// solves are picked up (sources are re-rasterized per solve); geometry
-// or material mutations are not — build a new Workspace for those.
+// Workspace holds a discretized stack so repeated solves —
+// divergence-recovery retries, transient time steps, DTM sample loops,
+// sensitivity sweeps over the same geometry — skip re-discretization
+// and re-allocation. Power map mutations between solves are picked up
+// (sources are re-rasterized per solve); geometry or material
+// mutations are not — build a new Workspace for those.
 //
 // A Workspace is not safe for concurrent use, and the Fields it
-// returns own their data, so they remain valid after further solves or
-// Close. Close releases the worker pool; it is required only when a
-// solve ran with Parallelism > 0 (it is a no-op otherwise) but is
-// always safe to defer.
+// returns own their data, so they remain valid after further solves.
+// It holds only memory: there is nothing to release when the caller is
+// done with it.
 //
 // A Workspace keeps its iteration buffers between solves, so warm
 // re-solves allocate no buffers, only the returned Field. A WorkspaceCache
 // drops them after each solve instead (releaseBuffers); the next solve
 // reallocates them.
 type Workspace struct {
-	sv   *solver
-	pool *sweepPool
+	sv *solver
 	// mg is the multigrid hierarchy, built lazily on the first
 	// MethodMultigrid solve and reused by every solve after it (the
 	// coarse operators depend only on the discretization, which a
@@ -46,45 +44,12 @@ func NewWorkspace(s *Stack) (*Workspace, error) {
 	return &Workspace{sv: sv}, nil
 }
 
-// Close stops the worker pool, if one was started. The Workspace must
-// not be used afterwards. Close is idempotent.
-func (w *Workspace) Close() {
-	if w.pool != nil {
-		w.pool.close()
-		w.pool = nil
-	}
-}
-
-// poolFor returns the sweep pool for the requested (validated) worker
-// count, or nil for the serial path. The pool persists across solves
-// and is rebuilt only when the worker count changes.
-func (w *Workspace) poolFor(workers int) *sweepPool {
-	if workers <= 0 {
-		return nil
-	}
-	if w.pool != nil && w.pool.workers != workers {
-		w.pool.close()
-		w.pool = nil
-	}
-	if w.pool == nil {
-		w.pool = newSweepPool(w.sv, workers)
-	}
-	return w.pool
-}
-
 // cycle runs one alternating-direction cycle (z, x, y sweeps) and
-// returns the largest temperature change, on the pool when non-nil.
-func (w *Workspace) cycle(pool *sweepPool) float64 {
-	var d1, d2, d3 float64
-	if pool != nil {
-		d1 = pool.sweep(sweepKindZ)
-		d2 = pool.sweep(sweepKindX)
-		d3 = pool.sweep(sweepKindY)
-	} else {
-		d1 = w.sv.sweepZ()
-		d2 = w.sv.sweepX()
-		d3 = w.sv.sweepY()
-	}
+// returns the largest temperature change.
+func (w *Workspace) cycle() float64 {
+	d1 := w.sv.sweepZ()
+	d2 := w.sv.sweepX()
+	d3 := w.sv.sweepY()
 	return math.Max(d1, math.Max(d2, d3))
 }
 
@@ -111,9 +76,8 @@ func (w *Workspace) releaseBuffers() {
 }
 
 // Solve computes the steady-state field, reusing the workspace's
-// discretization, multigrid hierarchy, and worker pool. Semantics
-// match the package-level Solve; the context is checked between
-// cycles.
+// discretization and multigrid hierarchy. Semantics match the
+// package-level Solve; the context is checked between cycles.
 //
 // A MethodMultigrid attempt that diverges falls back to damped
 // line-SOR (the recovery ladder is method-aware: multigrid has no
@@ -125,11 +89,6 @@ func (w *Workspace) Solve(ctx context.Context, opt SolveOptions) (*Field, error)
 		return nil, err
 	}
 	opt = opt.withDefaults()
-	workers, err := checkParallelism(opt.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	pool := w.poolFor(workers)
 	w.sv.ensureBuffers()
 	sp := opt.Obs.StartSpan("thermal/solve")
 	defer sp.End()
@@ -140,7 +99,7 @@ func (w *Workspace) Solve(ctx context.Context, opt SolveOptions) (*Field, error)
 		if method == MethodMultigrid {
 			f, err = w.solveOnceMG(ctx, opt, omega, attempt)
 		} else {
-			f, err = w.solveOnce(ctx, opt, pool, omega, attempt)
+			f, err = w.solveOnce(ctx, opt, omega, attempt)
 		}
 		var ce *ConvergenceError
 		if errors.As(err, &ce) && ce.Diverged && attempt < opt.MaxRecoveries {
@@ -168,7 +127,7 @@ func (w *Workspace) publishSolve(reg *obs.Registry, f *Field) {
 
 // solveOnce runs one steady solve attempt at the given relaxation
 // factor.
-func (w *Workspace) solveOnce(ctx context.Context, opt SolveOptions, pool *sweepPool, omega float64, recoveries int) (*Field, error) {
+func (w *Workspace) solveOnce(ctx context.Context, opt SolveOptions, omega float64, recoveries int) (*Field, error) {
 	sv := w.sv
 	sv.reset(omega)
 
@@ -190,7 +149,7 @@ func (w *Workspace) solveOnce(ctx context.Context, opt SolveOptions, pool *sweep
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		maxDelta := w.cycle(pool)
+		maxDelta := w.cycle()
 
 		// Deflate the constant mode: a uniform temperature shift leaves
 		// every interior balance unchanged but scales the boundary
@@ -254,10 +213,7 @@ func (w *Workspace) solveOnce(ctx context.Context, opt SolveOptions, pool *sweep
 // solveOnceMG runs one steady multigrid solve attempt. The structure
 // mirrors solveOnce — same reset, constant-mode deflation, divergence
 // watchdog, and convergence test — with one V-cycle taking the place
-// of one alternating-direction cycle. The multigrid path is serial by
-// construction (its red-black sweep order is already fixed and
-// deterministic); Parallelism is validated as usual but only exercises
-// the pool if the recovery ladder falls back to line-SOR.
+// of one alternating-direction cycle.
 func (w *Workspace) solveOnceMG(ctx context.Context, opt SolveOptions, omega float64, recoveries int) (*Field, error) {
 	sv := w.sv
 	sv.reset(omega)

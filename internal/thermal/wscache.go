@@ -12,9 +12,9 @@ import (
 // — skip re-discretization. Entries are keyed by a caller-chosen
 // string; the contract is that every stack solved under one key is
 // built identically (same geometry, materials, and power sources), so
-// reusing the first discretization is exact. The iteration schedule and
-// worker count are per-solve options, not part of the key: one cached
-// workspace serves line-SOR and multigrid solves alike.
+// reusing the first discretization is exact. The iteration schedule is
+// a per-solve option, not part of the key: one cached workspace serves
+// line-SOR and multigrid solves alike.
 //
 // Every solve resets the workspace to the ambient initial guess, so a
 // pooled solve is bit-identical to a fresh thermal.Solve of the same
@@ -25,7 +25,9 @@ import (
 // solve's memory. Solves sharing a key serialize (a Workspace is not
 // safe for concurrent use); distinct keys solve concurrently. The
 // cache is safe for concurrent use and evicts least-recently-used
-// entries beyond its bound, closing their worker pools.
+// entries beyond its bound; an evicted entry's in-flight solve
+// finishes on its workspace, which is then left to the garbage
+// collector.
 type WorkspaceCache struct {
 	mu      sync.Mutex
 	max     int
@@ -83,10 +85,7 @@ func (c *WorkspaceCache) Solve(ctx context.Context, key string, s *Stack, opt So
 	if c == nil {
 		return Solve(ctx, s, opt)
 	}
-	e, evicted, reused := c.acquire(key)
-	for _, old := range evicted {
-		old.close()
-	}
+	e, reused := c.acquire(key)
 	if reused {
 		opt.Obs.Counter("thermal_ws_reused").Inc()
 	}
@@ -105,15 +104,6 @@ func (c *WorkspaceCache) Solve(ctx context.Context, key string, s *Stack, opt So
 	}
 	f, err := e.ws.Solve(ctx, opt)
 	e.ws.releaseBuffers()
-	// If the entry was evicted while this solve held it, its worker
-	// pool would otherwise leak: release it now instead of caching it.
-	c.mu.Lock()
-	orphaned := c.entries[e.key] != e
-	c.mu.Unlock()
-	if orphaned {
-		e.ws.Close()
-		e.ws = nil
-	}
 	return f, err
 }
 
@@ -124,31 +114,24 @@ func (c *WorkspaceCache) Len() int {
 	return len(c.entries)
 }
 
-// Close evicts every entry and releases its worker pool. Entries
-// mid-solve are closed as their solves finish. The cache remains
-// usable; later solves start cold.
+// Close evicts every entry. Solves in flight finish on the workspaces
+// they hold. The cache remains usable; later solves start cold.
 func (c *WorkspaceCache) Close() {
 	c.mu.Lock()
-	all := make([]*wsEntry, 0, len(c.entries))
-	for elem := c.lru.Front(); elem != nil; elem = elem.Next() {
-		all = append(all, elem.Value.(*wsEntry))
-	}
+	defer c.mu.Unlock()
 	c.entries = map[string]*wsEntry{}
 	c.lru.Init()
-	c.mu.Unlock()
-	for _, e := range all {
-		e.close()
-	}
 }
 
-// acquire returns the entry for key (creating it if needed), the
-// entries evicted to make room, and whether the entry already existed.
-func (c *WorkspaceCache) acquire(key string) (e *wsEntry, evicted []*wsEntry, reused bool) {
+// acquire returns the entry for key (creating it if needed, and
+// evicting least-recently-used entries to make room) and whether the
+// entry already existed.
+func (c *WorkspaceCache) acquire(key string) (e *wsEntry, reused bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e = c.entries[key]; e != nil {
 		c.lru.MoveToFront(e.elem)
-		return e, nil, true
+		return e, true
 	}
 	e = &wsEntry{key: key, sem: make(chan struct{}, 1)}
 	e.elem = c.lru.PushFront(e)
@@ -158,9 +141,8 @@ func (c *WorkspaceCache) acquire(key string) (e *wsEntry, evicted []*wsEntry, re
 		old := back.Value.(*wsEntry)
 		c.lru.Remove(back)
 		delete(c.entries, old.key)
-		evicted = append(evicted, old)
 	}
-	return e, evicted, false
+	return e, false
 }
 
 // drop removes an entry whose workspace failed to build.
@@ -170,16 +152,5 @@ func (c *WorkspaceCache) drop(e *wsEntry) {
 	if c.entries[e.key] == e {
 		delete(c.entries, e.key)
 		c.lru.Remove(e.elem)
-	}
-}
-
-// close releases the entry's worker pool once any in-flight solve is
-// done.
-func (e *wsEntry) close() {
-	e.sem <- struct{}{}
-	defer e.release()
-	if e.ws != nil {
-		e.ws.Close()
-		e.ws = nil
 	}
 }

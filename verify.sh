@@ -1,8 +1,17 @@
 #!/bin/sh
-# verify.sh — the repo's full verification gate: static analysis,
-# build, and race-enabled tests. Run before every push.
+# verify.sh — the repo's full verification gate: formatting, static
+# analysis, build, race-enabled tests and bounded fuzzing. Run before
+# every push.
 set -eu
 cd "$(dirname "$0")"
+
+echo "== gofmt =="
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "verify: gofmt -l lists:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "== go vet =="
 go vet ./...
@@ -29,6 +38,14 @@ go build ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== fuzz =="
+# A bounded run of each decoder fuzz target. Their committed seed
+# corpora (testdata/fuzz) already ran as plain tests above; this stage
+# searches beyond them. A crasher lands in testdata/fuzz and fails here.
+for target in FuzzDecodeWireSpec FuzzDecodeRequest; do
+    go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/core/
+done
 
 echo "== benchmark smoke =="
 # One iteration of every internal benchmark: catches benchmarks that
