@@ -2,7 +2,9 @@
 # bench.sh — run the headline benchmarks with -benchmem and write the
 # machine-readable baseline (BENCH_005.json by default): benchmark
 # name -> ns/op and allocs/op, plus the headline metrics — the Solve64
-# line-SOR/multigrid ratio and the steady-state replay allocs/op.
+# line-SOR/multigrid ratio and the steady-state replay allocs/op. The
+# set covers the thermal kernels, steady-state replay and one Table 4
+# sweep (BenchmarkTable4, n = 50k).
 # Committed baselines from this script are how perf PRs prove their
 # before/after claims. The baseline name recorded inside the JSON is
 # derived from the output filename, so each capture is self-identifying.
@@ -41,6 +43,9 @@ go test -run '^$' -benchmem -benchtime 3x \
 go test -run '^$' -benchmem -benchtime 2s \
     -bench 'BenchmarkReplaySteadyState$' \
     ./internal/memhier/ | tee -a "$tmp"
+go test -run '^$' -benchmem -benchtime 3x \
+    -bench 'BenchmarkTable4$' \
+    ./internal/uarch/synth/ | tee -a "$tmp"
 
 awk -v nproc="$(nproc)" -v numcpu="$numcpu" -v goversion="$(go env GOVERSION)" -v baseline="$baseline" '
 /^cpu:/ { sub(/^cpu: */, ""); cpu = $0 }

@@ -181,22 +181,24 @@ func BenchmarkAblationBankHashing(b *testing.B) {
 // show the gain trajectory (which stages carry the 15%).
 func BenchmarkAblationFoldGroups(b *testing.B) {
 	cfg := uarch.PlanarConfig()
+	groups := synth.Table4Groups()
+	// cfgs[0] is the planar base; cfgs[k] folds the first k groups.
+	cfgs := []uarch.Config{cfg}
+	acc := uarch.Fold{}
+	for _, g := range groups {
+		acc = orFold(acc, g.Fold)
+		cfgs = append(cfgs, cfg.Apply(acc))
+	}
 	for i := 0; i < b.N; i++ {
-		base, err := synth.RunSuite(context.Background(), cfg, 1, 60_000)
+		suites, err := synth.RunSuites(context.Background(), cfgs, 1, 60_000)
 		if err != nil {
 			b.Fatal(err)
 		}
-		acc := uarch.Fold{}
-		groups := synth.Table4Groups()
+		base := suites[0]
 		var lastGain float64
 		lines := make([]string, 0, len(groups))
-		for _, g := range groups {
-			acc = orFold(acc, g.Fold)
-			res, err := synth.RunSuite(context.Background(), cfg.Apply(acc), 1, 60_000)
-			if err != nil {
-				b.Fatal(err)
-			}
-			lastGain = (res.IPC/base.IPC - 1) * 100
+		for k, g := range groups {
+			lastGain = (suites[1+k].IPC/base.IPC - 1) * 100
 			lines = append(lines, fmt.Sprintf("  +%-26s cumulative %+6.2f%%", g.Name, lastGain))
 		}
 		b.ReportMetric(lastGain, "cumGain%")
@@ -281,15 +283,11 @@ func BenchmarkAblationPredictorMode(b *testing.B) {
 		modeled.Predictor = uarch.DefaultPredictor()
 
 		gain := func(cfg uarch.Config) float64 {
-			base, err := synth.RunSuite(context.Background(), cfg, 1, 100_000)
+			s, err := synth.RunSuites(context.Background(), []uarch.Config{cfg, cfg.Apply(uarch.FullFold())}, 1, 100_000)
 			if err != nil {
 				b.Fatal(err)
 			}
-			full, err := synth.RunSuite(context.Background(), cfg.Apply(uarch.FullFold()), 1, 100_000)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return (full.IPC/base.IPC - 1) * 100
+			return (s[1].IPC/s[0].IPC - 1) * 100
 		}
 		ga := gain(annotated)
 		gm := gain(modeled)

@@ -1,0 +1,63 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"testing"
+)
+
+// runMainEnv marks a re-executed test binary that should run main
+// with its arguments instead of the tests.
+const runMainEnv = "STACKLOGIC_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// stacklogic runs the command in a child process and returns its
+// stdout, its stderr and the error from waiting on it.
+func stacklogic(args ...string) (stdout, stderr []byte, err error) {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err = cmd.Run()
+	return out.Bytes(), errOut.Bytes(), err
+}
+
+// TestTable4Golden pins the Table 4 report byte for byte. Regenerate
+// testdata/table4.golden with
+//
+//	go run ./cmd/stacklogic -table4 -n 20000 -seed 1 > cmd/stacklogic/testdata/table4.golden
+//
+// only when a change is meant to move the numbers or the layout.
+func TestTable4Golden(t *testing.T) {
+	want, err := os.ReadFile("testdata/table4.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, stderr, err := stacklogic("-table4", "-n", "20000", "-seed", "1")
+	if err != nil {
+		t.Fatalf("stacklogic: %v\n%s", err, stderr)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("stacklogic -table4 -n 20000 -seed 1 differs from testdata/table4.golden:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestInstructionCap: -n above core.MaxTable4Instructions exits 1 with
+// the cap error instead of allocating the programs.
+func TestInstructionCap(t *testing.T) {
+	_, stderr, err := stacklogic("-table4", "-n", "2000001")
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 ||
+		!bytes.Contains(stderr, []byte("exceeds the maximum 2000000")) {
+		t.Fatalf("stacklogic -n 2000001: %v\n%s", err, stderr)
+	}
+}

@@ -235,6 +235,18 @@ func TestTable4Totals(t *testing.T) {
 	}
 }
 
+// TestTable4InstructionCap: a request above MaxTable4Instructions is
+// refused before any program is generated.
+func TestTable4InstructionCap(t *testing.T) {
+	_, err := RunTable4(context.Background(), Table4Request{Instructions: MaxTable4Instructions + 1})
+	if err == nil || !strings.Contains(err.Error(), "exceeds the maximum") {
+		t.Fatalf("over-cap request: %v", err)
+	}
+	if _, err := RunTable4(context.Background(), Table4Request{Instructions: 4_000_000_000}); err == nil {
+		t.Fatal("4e9 instructions accepted")
+	}
+}
+
 func TestTable5Rows(t *testing.T) {
 	rows, err := RunTable5(context.Background(), Table5Request{Spec: RunSpec{Grid: testGrid}})
 	if err != nil {

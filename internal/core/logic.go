@@ -140,12 +140,20 @@ func RunFigure11(ctx context.Context, spec RunSpec) ([]LogicThermal, error) {
 // zero Table4Request replays — the paper-sweep default.
 const DefaultTable4Instructions = 200_000
 
+// MaxTable4Instructions caps the per-profile instruction count a
+// Table4Request may ask for (10x the default). Each profile's program
+// takes about 24 bytes per instruction, so an unbounded count from a
+// request body could demand more memory than the host has, and the Go
+// runtime's out-of-memory error is fatal to the whole process.
+const MaxTable4Instructions = 2_000_000
+
 // Table4Request parameterizes RunTable4. Spec.Seed seeds the synthetic
 // instruction profiles; the other spec fields are unused.
 type Table4Request struct {
 	Spec RunSpec
 	// Instructions is the per-profile instruction count (<= 0 selects
-	// DefaultTable4Instructions).
+	// DefaultTable4Instructions; above MaxTable4Instructions is an
+	// error).
 	Instructions int
 }
 
@@ -167,6 +175,9 @@ func RunTable4(ctx context.Context, req Table4Request) (Table4Result, error) {
 	n := req.Instructions
 	if n <= 0 {
 		n = DefaultTable4Instructions
+	}
+	if n > MaxTable4Instructions {
+		return Table4Result{}, fmt.Errorf("core: table4: %d instructions per profile exceeds the maximum %d", n, MaxTable4Instructions)
 	}
 	cfg := uarch.PlanarConfig()
 	rows, totalGainPct, err := synth.Table4(ctx, cfg, req.Spec.Seed, n)

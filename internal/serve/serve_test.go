@@ -244,6 +244,30 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedTable4Rejected: a table4 body asking for billions of
+// instructions per profile gets a JSON 500 before anything is
+// allocated, and the server keeps answering. Uncapped, the request
+// asked Generate for a slice of ~96 GB and the runtime's fatal
+// out-of-memory error took the whole process down.
+func TestOversizedTable4Rejected(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	resp, body := post(t, ts.URL+"/v1/experiments/table4", `{"params":{"instructions":4000000000}}`)
+	if resp.StatusCode != http.StatusInternalServerError ||
+		!strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json") ||
+		!strings.Contains(body, `"error"`) || !strings.Contains(body, "exceeds the maximum") {
+		t.Fatalf("oversized table4: %d %q %s", resp.StatusCode, resp.Header.Get("Content-Type"), body)
+	}
+	health, err := http.Get(ts.URL + "/healthz")
+	if err != nil || health.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after oversized table4: %v %v", err, health)
+	}
+	health.Body.Close()
+}
+
 func TestListAndMetricsAndHealth(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()

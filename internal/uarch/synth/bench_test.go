@@ -26,3 +26,12 @@ func BenchmarkRunSuite(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkTable4(b *testing.B) {
+	cfg := uarch.PlanarConfig()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Table4(context.Background(), cfg, 1, 50_000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

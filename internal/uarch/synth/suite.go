@@ -19,22 +19,54 @@ type SuiteResult struct {
 // returns the weighted aggregate (the stand-in for the paper's 650+
 // trace average). n is the per-profile instruction count.
 func RunSuite(ctx context.Context, cfg uarch.Config, seed uint64, n int) (SuiteResult, error) {
+	out, err := RunSuites(ctx, []uarch.Config{cfg}, seed, n)
+	if err != nil {
+		return SuiteResult{}, err
+	}
+	return out[0], nil
+}
+
+// RunSuites runs the suite on every configuration and returns one
+// SuiteResult per configuration, in order; each equals RunSuite's
+// result for that configuration. The loop is profile-outer: each
+// profile's program is generated once, replayed on every
+// configuration, and dropped before the next profile's is generated,
+// so one program is live at a time however many configurations are
+// swept.
+func RunSuites(ctx context.Context, cfgs []uarch.Config, seed uint64, n int) ([]SuiteResult, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("synth: instruction count %d < 1", n)
+	}
 	profiles := Profiles()
-	out := SuiteResult{PerProfile: make([]uarch.Result, len(profiles))}
-	sumW := 0.0
+	out := make([]SuiteResult, len(cfgs))
+	for k := range out {
+		out[k].PerProfile = make([]uarch.Result, len(profiles))
+	}
 	for i, p := range profiles {
 		if err := p.Validate(); err != nil {
-			return SuiteResult{}, err
+			return nil, err
 		}
-		res, err := uarch.Run(ctx, cfg, p.Generate(seed, n))
+		res, err := uarch.RunConfigs(ctx, cfgs, p.Generate(seed, n))
 		if err != nil {
-			return SuiteResult{}, fmt.Errorf("synth: %s: %w", p.Name, err)
+			return nil, fmt.Errorf("synth: %s: %w", p.Name, err)
 		}
-		out.PerProfile[i] = res
-		out.IPC += p.Weight * res.IPC
+		for k, r := range res {
+			out[k].PerProfile[i] = r
+		}
+	}
+	// Reduce in profile order, summing then dividing, so every
+	// configuration's IPC takes the same float operations as a suite
+	// run on that configuration alone.
+	sumW := 0.0
+	for _, p := range profiles {
 		sumW += p.Weight
 	}
-	out.IPC /= sumW
+	for k := range out {
+		for i, p := range profiles {
+			out[k].IPC += p.Weight * out[k].PerProfile[i].IPC
+		}
+		out[k].IPC /= sumW
+	}
 	return out, nil
 }
 
@@ -78,15 +110,21 @@ type Table4Row struct {
 // fold, reproducing the paper's Table 4. n is the per-profile
 // instruction count (100k is enough for stable percentages).
 func Table4(ctx context.Context, cfg uarch.Config, seed uint64, n int) (rows []Table4Row, totalGainPct float64, err error) {
-	base, err := RunSuite(ctx, cfg, seed, n)
+	// One suite sweep over [base, each group's fold, the full fold].
+	groups := Table4Groups()
+	cfgs := make([]uarch.Config, 0, len(groups)+2)
+	cfgs = append(cfgs, cfg)
+	for _, g := range groups {
+		cfgs = append(cfgs, cfg.Apply(g.Fold))
+	}
+	cfgs = append(cfgs, cfg.Apply(uarch.FullFold()))
+	suites, err := RunSuites(ctx, cfgs, seed, n)
 	if err != nil {
 		return nil, 0, err
 	}
-	for _, g := range Table4Groups() {
-		folded, err := RunSuite(ctx, cfg.Apply(g.Fold), seed, n)
-		if err != nil {
-			return nil, 0, err
-		}
+	base, full := suites[0], suites[len(suites)-1]
+	for i, g := range groups {
+		folded := suites[1+i]
 		removed, _ := cfg.StagesEliminated(g.Fold)
 		// The group's own planar stage count for the percent column.
 		groupTotal := groupStageCount(cfg, g.Fold)
@@ -101,10 +139,6 @@ func Table4(ctx context.Context, cfg uarch.Config, seed uint64, n int) (rows []T
 			PaperStagesPct: g.PaperStagesPct,
 			PaperGainPct:   g.PaperGainPct,
 		})
-	}
-	full, err := RunSuite(ctx, cfg.Apply(uarch.FullFold()), seed, n)
-	if err != nil {
-		return nil, 0, err
 	}
 	return rows, (full.IPC/base.IPC - 1) * 100, nil
 }

@@ -302,17 +302,52 @@ type Result struct {
 // timing, with cooperative cancellation checked every few thousand
 // instructions. The model is deterministic.
 func Run(ctx context.Context, cfg Config, prog []Inst) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+	res, err := RunConfigs(ctx, []Config{cfg}, prog)
+	if err != nil {
 		return Result{}, err
 	}
+	return res[0], nil
+}
+
+// RunConfigs executes one program on each configuration in turn and
+// returns the results in configuration order; each equals what Run
+// returns for that configuration. Every configuration is validated
+// before any simulation starts. The per-instruction timing buffers are
+// allocated once and shared by the runs, so sweeping many pipeline
+// variants over one program costs one set of buffers, not one per
+// variant.
+func RunConfigs(ctx context.Context, cfgs []Config, prog []Inst) ([]Result, error) {
+	for _, cfg := range cfgs {
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	out := make([]Result, len(cfgs))
 	n := len(prog)
 	if n == 0 {
-		return Result{}, nil
+		return out, nil
 	}
-
+	// No zeroing between runs: iteration i reads only indices below i,
+	// which the same run has already written.
 	complete := make([]int64, n)
 	retire := make([]int64, n)
 	dealloc := make([]int64, n)
+	for k, cfg := range cfgs {
+		res, err := run(ctx, cfg, prog, complete, retire, dealloc)
+		if err != nil {
+			return nil, err
+		}
+		out[k] = res
+	}
+	return out, nil
+}
+
+// run is the pipeline loop: it simulates prog on an already validated
+// cfg, writing each instruction's completion, retirement and
+// deallocation times into the len(prog)-long scratch slices. Window,
+// fetch and predictor state are fresh per call.
+func run(ctx context.Context, cfg Config, prog []Inst, complete, retire, dealloc []int64) (Result, error) {
+	n := len(prog)
 
 	// Store-queue entry release times, ring-indexed by store ordinal.
 	storeFree := make([]int64, cfg.StoreQueue)

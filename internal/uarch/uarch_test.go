@@ -307,3 +307,102 @@ func TestIPCBoundsQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// mixedProg builds a deterministic program exercising every op type,
+// memory class, FP-bound loads, store bursts and branches carrying
+// both annotations and predictor PCs/outcomes.
+func mixedProg(n int) []Inst {
+	prog := make([]Inst, n)
+	x := uint32(12345)
+	for i := range prog {
+		x = x*1664525 + 1013904223
+		in := Inst{Op: OpType(x >> 29 % 6)}
+		if d := int32(x>>8) % 9; int(d) <= i {
+			in.Dep1 = d
+		}
+		if d := int32(x>>16) % 23; int(d) <= i && x&1 == 0 {
+			in.Dep2 = d
+		}
+		switch in.Op {
+		case OpLoad:
+			in.Mem = MemClass(x >> 4 % 3)
+			in.FeedsFP = x&2 != 0
+		case OpBranch:
+			in.PC = (x >> 12 % 16) * 4
+			in.Taken = x&4 != 0
+			in.Mispredicted = x>>20%11 == 0
+		}
+		prog[i] = in
+	}
+	return prog
+}
+
+// TestRunConfigsMatchesRun: each RunConfigs result equals a fresh Run
+// on that configuration, so neither the shared timing buffers nor any
+// predictor state leaks from one configuration into the next.
+func TestRunConfigsMatchesRun(t *testing.T) {
+	planar := PlanarConfig()
+	pred := planar
+	pred.Predictor = DefaultPredictor()
+	smallPred := planar
+	smallPred.Predictor = &PredictorConfig{TableBits: 6, HistoryBits: 3}
+	narrow := planar
+	narrow.ROBSize, narrow.StoreQueue, narrow.Scheduler = 8, 2, 4
+	narrow.FetchWidth, narrow.RetireWidth = 1, 1
+	cfgs := []Config{
+		planar,
+		planar.Apply(FullFold()),
+		pred,
+		narrow,
+		pred.Apply(FullFold()),
+		smallPred,
+		pred,
+		planar,
+	}
+	ctx := context.Background()
+	for _, n := range []int{0, 1, 81, 5000} {
+		prog := mixedProg(n)
+		got, err := RunConfigs(ctx, cfgs, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(cfgs) {
+			t.Fatalf("n=%d: %d results for %d configs", n, len(got), len(cfgs))
+		}
+		for k, cfg := range cfgs {
+			want, err := Run(ctx, cfg, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[k] != want {
+				t.Errorf("n=%d config %d: RunConfigs %+v, Run %+v", n, k, got[k], want)
+			}
+		}
+	}
+	if res, err := RunConfigs(ctx, nil, mixedProg(10)); err != nil || len(res) != 0 {
+		t.Errorf("no configs: %v, %v", res, err)
+	}
+}
+
+// TestRunConfigsValidatesFirst: an invalid configuration anywhere in
+// the slice fails the call before any configuration is simulated. The
+// context is already canceled and the program's first instruction is
+// malformed, so any simulation would report one of those instead.
+func TestRunConfigsValidatesFirst(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	prog := []Inst{{Op: OpType(99)}}
+	bad := PlanarConfig()
+	bad.ROBSize = 0
+	for pos := 0; pos < 3; pos++ {
+		cfgs := []Config{PlanarConfig(), PlanarConfig(), PlanarConfig()}
+		cfgs[pos] = bad
+		res, err := RunConfigs(ctx, cfgs, prog)
+		if err == nil || res != nil {
+			t.Fatalf("bad config at %d accepted: %v", pos, res)
+		}
+		if !strings.Contains(err.Error(), "non-positive window") {
+			t.Errorf("bad config at %d: got %v, want the validation error", pos, err)
+		}
+	}
+}
