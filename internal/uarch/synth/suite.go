@@ -29,10 +29,12 @@ func RunSuite(ctx context.Context, cfg uarch.Config, seed uint64, n int) (SuiteR
 // RunSuites runs the suite on every configuration and returns one
 // SuiteResult per configuration, in order; each equals RunSuite's
 // result for that configuration. The loop is profile-outer: each
-// profile's program is generated once, replayed on every
-// configuration, and dropped before the next profile's is generated,
-// so one program is live at a time however many configurations are
-// swept.
+// profile's program is generated once and replayed on every
+// configuration before the next profile's program overwrites it. The
+// program and the simulator's timing buffers are allocated once per
+// call, so one program is live at a time however many configurations
+// are swept, and the call's allocation does not grow with the number
+// of profiles.
 func RunSuites(ctx context.Context, cfgs []uarch.Config, seed uint64, n int) ([]SuiteResult, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("synth: instruction count %d < 1", n)
@@ -42,11 +44,14 @@ func RunSuites(ctx context.Context, cfgs []uarch.Config, seed uint64, n int) ([]
 	for k := range out {
 		out[k].PerProfile = make([]uarch.Result, len(profiles))
 	}
+	prog := make([]uarch.Inst, n)
+	var scratch uarch.Scratch
 	for i, p := range profiles {
 		if err := p.Validate(); err != nil {
 			return nil, err
 		}
-		res, err := uarch.RunConfigs(ctx, cfgs, p.Generate(seed, n))
+		p.fill(seed, prog)
+		res, err := scratch.RunConfigs(ctx, cfgs, prog)
 		if err != nil {
 			return nil, fmt.Errorf("synth: %s: %w", p.Name, err)
 		}

@@ -139,8 +139,15 @@ func ByName(name string) (Profile, bool) {
 
 // Generate emits n instructions of the profile, deterministic in seed.
 func (p Profile) Generate(seed uint64, n int) []uarch.Inst {
-	rng := stats.NewRNG(seed ^ hashName(p.Name))
 	prog := make([]uarch.Inst, n)
+	p.fill(seed, prog)
+	return prog
+}
+
+// fill overwrites every element of prog with the first len(prog)
+// instructions Generate would emit for seed.
+func (p Profile) fill(seed uint64, prog []uarch.Inst) {
+	rng := stats.NewRNG(seed ^ hashName(p.Name))
 	lastFP := -1
 	lastFPLoad := -1
 	inStoreBurst := false
@@ -231,7 +238,6 @@ func (p Profile) Generate(seed uint64, n int) []uarch.Inst {
 		}
 		prog[i] = in
 	}
-	return prog
 }
 
 // hashName folds a profile name into the seed so distinct profiles

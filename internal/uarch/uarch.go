@@ -317,6 +317,22 @@ func Run(ctx context.Context, cfg Config, prog []Inst) (Result, error) {
 // variants over one program costs one set of buffers, not one per
 // variant.
 func RunConfigs(ctx context.Context, cfgs []Config, prog []Inst) ([]Result, error) {
+	var s Scratch
+	return s.RunConfigs(ctx, cfgs, prog)
+}
+
+// Scratch holds the per-instruction timing buffers of a simulation so
+// that successive RunConfigs calls reuse them: a sweep over several
+// programs then allocates one set of buffers, sized to its longest
+// program. The zero value is ready to use. A Scratch must not be used
+// by concurrent calls.
+type Scratch struct {
+	complete, retire, dealloc []int64
+}
+
+// RunConfigs is the package-level RunConfigs, simulating in s's
+// buffers (grown first if prog is longer than any earlier program).
+func (s *Scratch) RunConfigs(ctx context.Context, cfgs []Config, prog []Inst) ([]Result, error) {
 	for _, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
 			return nil, err
@@ -327,11 +343,14 @@ func RunConfigs(ctx context.Context, cfgs []Config, prog []Inst) ([]Result, erro
 	if n == 0 {
 		return out, nil
 	}
+	if len(s.complete) < n {
+		s.complete = make([]int64, n)
+		s.retire = make([]int64, n)
+		s.dealloc = make([]int64, n)
+	}
 	// No zeroing between runs: iteration i reads only indices below i,
 	// which the same run has already written.
-	complete := make([]int64, n)
-	retire := make([]int64, n)
-	dealloc := make([]int64, n)
+	complete, retire, dealloc := s.complete[:n], s.retire[:n], s.dealloc[:n]
 	for k, cfg := range cfgs {
 		res, err := run(ctx, cfg, prog, complete, retire, dealloc)
 		if err != nil {

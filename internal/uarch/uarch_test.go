@@ -384,6 +384,34 @@ func TestRunConfigsMatchesRun(t *testing.T) {
 	}
 }
 
+// TestScratchReuse: one Scratch serving programs of growing and
+// shrinking lengths gives every configuration the same result as a
+// fresh Run, so a buffer left over from a longer program never leaks
+// into a shorter one.
+func TestScratchReuse(t *testing.T) {
+	pred := PlanarConfig()
+	pred.Predictor = DefaultPredictor()
+	cfgs := []Config{PlanarConfig(), pred, PlanarConfig().Apply(FullFold())}
+	ctx := context.Background()
+	var s Scratch
+	for _, n := range []int{81, 5000, 1, 0, 81, 5000} {
+		prog := mixedProg(n)
+		got, err := s.RunConfigs(ctx, cfgs, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, cfg := range cfgs {
+			want, err := Run(ctx, cfg, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got[k] != want {
+				t.Errorf("n=%d config %d: Scratch.RunConfigs %+v, Run %+v", n, k, got[k], want)
+			}
+		}
+	}
+}
+
 // TestRunConfigsValidatesFirst: an invalid configuration anywhere in
 // the slice fails the call before any configuration is simulated. The
 // context is already canceled and the program's first instruction is
