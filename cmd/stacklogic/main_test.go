@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
 )
 
@@ -48,6 +49,38 @@ func TestTable4Golden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("stacklogic -table4 -n 20000 -seed 1 differs from testdata/table4.golden:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestGolden pins the combined and autofold reports byte for byte at a
+// coarse grid. Regenerate a file with
+//
+//	go run ./cmd/stacklogic <args> > cmd/stacklogic/testdata/<name>.golden
+//
+// only when a change is meant to move the numbers or the layout.
+func TestGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		// Table 4, the wire and power derivations, Figure 11, Table 5.
+		{"all", []string{"-n", "20000", "-grid", "16"}},
+		{"autofold", []string{"-autofold", "-grid", "16"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := os.ReadFile("testdata/" + tc.name + ".golden")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, stderr, err := stacklogic(tc.args...)
+			if err != nil {
+				t.Fatalf("stacklogic %s: %v\n%s", strings.Join(tc.args, " "), err, stderr)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("stacklogic %s differs from testdata/%s.golden:\ngot:\n%s\nwant:\n%s",
+					strings.Join(tc.args, " "), tc.name, got, want)
+			}
+		})
 	}
 }
 
