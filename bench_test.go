@@ -214,7 +214,7 @@ func BenchmarkFigure8StackThermal(b *testing.B) {
 // pipeline elimination gains (Table 4).
 func BenchmarkTable4PipelineGains(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t4, err := core.RunTable4(context.Background(), core.Table4Request{Spec: core.RunSpec{Seed: 1}, Instructions: 200_000})
+		t4, err := core.RunTable4(context.Background(), core.RunSpec{Seed: 1}, 200_000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func BenchmarkFigure11LogicThermal(b *testing.B) {
 // (Table 5).
 func BenchmarkTable5VoltageScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := core.RunTable5(context.Background(), core.Table5Request{Spec: core.RunSpec{Grid: 64}})
+		rows, err := core.RunTable5(context.Background(), core.RunSpec{Grid: 64})
 		if err != nil {
 			b.Fatal(err)
 		}

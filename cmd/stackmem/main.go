@@ -231,8 +231,7 @@ func main() {
 // recorded with their cause and the process exits non-zero.
 func runCampaign(ctx context.Context, rs core.RunSpec, bench string,
 	jobs, retries int, timeout time.Duration, manifestPath string) error {
-	spec := core.CampaignSpec{Seed: rs.Seed, Scale: rs.Scale, Grid: rs.Grid,
-		Method: rs.Method, Obs: rs.Obs}
+	spec := core.CampaignSpec{RunSpec: rs}
 	if bench != "" {
 		spec.Benchmarks = []string{bench}
 	}
@@ -268,8 +267,7 @@ func runCampaign(ctx context.Context, rs core.RunSpec, bench string,
 func runCampaignServe(ctx context.Context, rs core.RunSpec, bench, addr string,
 	leaseTTL time.Duration, leaseBudget int, drainTimeout time.Duration,
 	manifestPath string, injector *chaos.Injector) error {
-	spec := core.CampaignSpec{Seed: rs.Seed, Scale: rs.Scale, Grid: rs.Grid,
-		Method: rs.Method}
+	spec := core.CampaignSpec{RunSpec: rs}
 	if bench != "" {
 		spec.Benchmarks = []string{bench}
 	}
@@ -517,25 +515,6 @@ func experiment(ctx context.Context, spec core.RunSpec, name string, params any)
 	return res.Value, nil
 }
 
-// faultParams projects the validated fault flag group onto the
-// catalog's wire-shaped params (nil when no injection was requested).
-func faultParams(fc fault.Config) *core.FaultParams {
-	if !fc.Enabled() {
-		return nil
-	}
-	return &core.FaultParams{
-		Seed:              fc.Seed,
-		CorrectablePerM:   fc.CorrectablePerMAccess,
-		UncorrectablePerM: fc.UncorrectablePerMAccess,
-		DeadBanks:         fc.DeadBanks,
-		TSVFailFrac:       fc.TSVFailFrac,
-		SensorNoiseC:      fc.SensorNoiseC,
-		SensorOffsetC:     fc.SensorOffsetC,
-		SensorStuck:       fc.SensorStuckAt,
-		SensorStuckAtC:    fc.SensorStuckAtC,
-	}
-}
-
 // replayFile runs a tracegen-produced binary trace through all four
 // configurations.
 func replayFile(ctx context.Context, rs core.RunSpec, path string, fc fault.Config) error {
@@ -620,17 +599,15 @@ func runPerf(ctx context.Context, rs core.RunSpec, bench string, fc fault.Config
 		header += "\tECC fix\tpoisoned\tunrec\tremapped"
 	}
 	fmt.Fprintln(w, header)
-	opts := core.MemoryOptions()
-
-	type agg struct{ base, big core.MemoryPerf }
-	var rows []agg
+	fig5 := &core.Figure5Result{Options: core.MemoryOptions()}
+	faults := core.FaultParamsFor(fc)
 	var faultTotal fault.Stats
 	var remapTotal uint64
 	for _, b := range benches {
-		var a agg
-		for _, o := range opts {
+		var row []core.MemoryPerf
+		for _, o := range fig5.Options {
 			v, err := experiment(ctx, rs, "memory-perf",
-				&core.MemoryPerfParams{CapacityMB: o.CapacityMB(), Benchmark: b.Name, Faults: faultParams(fc)})
+				&core.MemoryPerfParams{CapacityMB: o.CapacityMB(), Benchmark: b.Name, Faults: faults})
 			if err != nil {
 				return err
 			}
@@ -644,14 +621,10 @@ func runPerf(ctx context.Context, rs core.RunSpec, bench string, fc fault.Config
 				remapTotal += p.DRAMRemapped
 			}
 			fmt.Fprintln(w)
-			switch o {
-			case core.Planar4MB:
-				a.base = p
-			case core.Stacked32MB:
-				a.big = p
-			}
+			row = append(row, p)
 		}
-		rows = append(rows, a)
+		fig5.Benchmarks = append(fig5.Benchmarks, b.Name)
+		fig5.Rows = append(fig5.Rows, row)
 	}
 	if err := w.Flush(); err != nil {
 		return err
@@ -662,18 +635,10 @@ func runPerf(ctx context.Context, rs core.RunSpec, bench string, fc fault.Config
 			faultTotal.Refetches, faultTotal.Unrecovered, remapTotal, faultTotal.RetryCyclesAdded)
 	}
 
-	if len(rows) > 1 {
-		var sumRed, maxRed float64
-		maxName := ""
-		for i, a := range rows {
-			red := (1 - a.big.CPMA/a.base.CPMA) * 100
-			sumRed += red
-			if red > maxRed {
-				maxRed, maxName = red, benches[i].Name
-			}
-		}
+	if len(fig5.Rows) > 1 {
+		h := fig5.Headline()
 		fmt.Printf("\n32MB vs baseline: average CPMA reduction %.1f%% (paper 13%%), peak %.1f%% on %s (paper ~55%%)\n",
-			sumRed/float64(len(rows)), maxRed, maxName)
+			h.AvgCPMAReductionPct, h.MaxCPMAReductionPct, h.MaxReductionBenchmark)
 	}
 	return nil
 }

@@ -125,7 +125,7 @@ func runDTM(ctx context.Context, spec core.RunSpec, tmax, hyst, dt float64, step
 
 	params := &core.ManagedThermalParams{
 		Variant: core.Logic3D.Slug(), TmaxC: tmax, HysteresisC: hyst,
-		MinFreq: minFreq, DtSeconds: dt, Steps: steps, Faults: faultParams(fc),
+		MinFreq: minFreq, DtSeconds: dt, Steps: steps, Faults: core.FaultParamsFor(fc),
 	}
 	out, err := core.RunExperiment(ctx, "managed-logic-thermal",
 		core.ExperimentRequest{Spec: spec, Params: params})
@@ -185,21 +185,6 @@ func experiment(ctx context.Context, spec core.RunSpec, name string, params any)
 		return nil, err
 	}
 	return res.Value, nil
-}
-
-// faultParams projects the validated sensor flag group onto the
-// catalog's wire-shaped params (nil when no injection was requested).
-func faultParams(fc fault.Config) *core.FaultParams {
-	if !fc.Enabled() {
-		return nil
-	}
-	return &core.FaultParams{
-		Seed:           fc.Seed,
-		SensorNoiseC:   fc.SensorNoiseC,
-		SensorOffsetC:  fc.SensorOffsetC,
-		SensorStuck:    fc.SensorStuckAt,
-		SensorStuckAtC: fc.SensorStuckAtC,
-	}
 }
 
 func printMaterials() {

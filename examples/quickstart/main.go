@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"diestack/internal/core"
+	"diestack/internal/fault"
 	"diestack/internal/workload"
 )
 
@@ -24,11 +25,12 @@ func main() {
 
 	ctx := context.Background()
 	spec := core.RunSpec{Seed: 1, Scale: 1.0, Grid: 48}
-	baseline, err := core.RunMemoryPerf(ctx, spec, core.Planar4MB, bench)
+	// A zero fault.Config replays on a healthy stack.
+	baseline, err := core.RunMemoryPerf(ctx, spec, core.Planar4MB, bench, fault.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	stacked, err := core.RunMemoryPerf(ctx, spec, core.Stacked32MB, bench)
+	stacked, err := core.RunMemoryPerf(ctx, spec, core.Stacked32MB, bench, fault.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

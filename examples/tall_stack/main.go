@@ -25,8 +25,7 @@ const grid = 48
 func main() {
 	// Steady state: one rung at a time.
 	fmt.Println("capacity ladder (steady state):")
-	pts, err := core.RunMultiDieSweep(context.Background(),
-		core.MultiDieRequest{Spec: core.RunSpec{Grid: grid}, MaxDies: 4})
+	pts, err := core.RunMultiDieSweep(context.Background(), core.RunSpec{Grid: grid}, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,8 +8,6 @@ import (
 
 	"diestack/internal/canon"
 	"diestack/internal/harness"
-	"diestack/internal/obs"
-	"diestack/internal/thermal"
 	"diestack/internal/workload"
 )
 
@@ -18,44 +16,18 @@ import (
 // every Figure 11 logic solve become independent harness jobs, so one
 // hung replay or diverged solve cannot take down the sweep.
 
-// CampaignSpec parameterizes the paper sweep.
+// CampaignSpec parameterizes the paper sweep: the per-experiment spec
+// every job runs under, plus the campaign-only fields. RunSpec.Obs,
+// when non-nil, also instruments the harness unless harness.Config.Obs
+// is set separately, so one registry sees the whole campaign.
 type CampaignSpec struct {
-	// Seed and Scale size the generated traces (as in RunFigure5).
-	Seed  uint64
-	Scale float64
-	// Grid is the thermal resolution (<= 0 selects the default).
-	Grid int
+	RunSpec
 	// Benchmarks restricts the Figure 5 replays to the named RMS
 	// kernels; empty runs all of them.
 	Benchmarks []string
 	// SkipThermal drops the Figure 8 / Figure 11 jobs, leaving a
 	// memory-performance-only campaign.
 	SkipThermal bool
-	// Method selects the thermal iteration schedule for every thermal
-	// job (thermal.MethodDefault: multigrid for steady solves; see
-	// thermal.SolveOptions.Method).
-	Method thermal.Method
-	// Obs, when non-nil, instruments every job's substrates and — unless
-	// harness.Config.Obs is set separately — the harness itself, so one
-	// registry sees the whole campaign.
-	Obs *obs.Registry
-	// Workspaces, when non-nil, pools thermal discretizations across
-	// the campaign's solves (see RunSpec.Workspaces). Process-local,
-	// never on the wire.
-	Workspaces *thermal.WorkspaceCache
-}
-
-// runSpec projects the campaign parameters onto the per-experiment
-// spec.
-func (spec CampaignSpec) runSpec() RunSpec {
-	return RunSpec{
-		Seed:       spec.Seed,
-		Scale:      spec.Scale,
-		Grid:       spec.Grid,
-		Method:     spec.Method,
-		Obs:        spec.Obs,
-		Workspaces: spec.Workspaces,
-	}
 }
 
 // CampaignJobs expands the spec into the job list: one job per
@@ -86,13 +58,12 @@ func CampaignJobs(spec CampaignSpec) ([]harness.Job, error) {
 	// entry-point surface the CLIs and the stackd service use — and
 	// unwraps the result value so manifests stay byte-identical to the
 	// direct-call era.
-	rs := spec.runSpec()
 	catalogJob := func(name, experiment string, params any) harness.Job {
 		exp := mustExperiment(experiment)
 		return harness.Job{
 			Name: name,
 			Run: func(ctx context.Context) (any, error) {
-				res, err := exp.Run(ctx, ExperimentRequest{Spec: rs, Params: params})
+				res, err := exp.Run(ctx, ExperimentRequest{Spec: spec.RunSpec, Params: params})
 				if err != nil {
 					return nil, err
 				}
@@ -157,17 +128,15 @@ func (spec CampaignSpec) EncodeWire() (json.RawMessage, error) {
 	if err := spec.Method.Validate(); err != nil {
 		return nil, err
 	}
-	w := wireSpec{
-		Seed:        spec.Seed,
-		Scale:       spec.Scale,
-		Grid:        spec.Grid,
+	rs := specWireFrom(spec.RunSpec)
+	raw, err := canon.Marshal(wireSpec{
+		Seed:        rs.Seed,
+		Scale:       rs.Scale,
+		Grid:        rs.Grid,
 		Benchmarks:  spec.Benchmarks,
 		SkipThermal: spec.SkipThermal,
-	}
-	if spec.Method != thermal.MethodDefault {
-		w.Method = spec.Method.String()
-	}
-	raw, err := canon.Marshal(w)
+		Method:      rs.Method,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: encoding campaign spec: %w", err)
 	}
@@ -183,18 +152,11 @@ func DecodeWireSpec(raw json.RawMessage) (CampaignSpec, error) {
 	if err := canon.Unmarshal(raw, &w); err != nil {
 		return CampaignSpec{}, fmt.Errorf("core: decoding campaign spec: %w", err)
 	}
-	m, err := thermal.ParseMethod(w.Method)
+	rs, err := specFromWire(specWire{Seed: w.Seed, Scale: w.Scale, Grid: w.Grid, Method: w.Method})
 	if err != nil {
 		return CampaignSpec{}, fmt.Errorf("core: decoding campaign spec: %w", err)
 	}
-	return CampaignSpec{
-		Seed:        w.Seed,
-		Scale:       w.Scale,
-		Grid:        w.Grid,
-		Benchmarks:  w.Benchmarks,
-		SkipThermal: w.SkipThermal,
-		Method:      m,
-	}, nil
+	return CampaignSpec{RunSpec: rs, Benchmarks: w.Benchmarks, SkipThermal: w.SkipThermal}, nil
 }
 
 // Slug returns the option's job-name/wire spelling (planar, 3d,

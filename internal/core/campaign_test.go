@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"diestack/internal/fault"
 	"diestack/internal/floorplan"
 	"diestack/internal/harness"
 	"diestack/internal/thermal"
@@ -15,7 +16,7 @@ import (
 )
 
 func TestCampaignJobsNames(t *testing.T) {
-	jobs, err := CampaignJobs(CampaignSpec{Scale: 0.05, Benchmarks: []string{"gauss"}})
+	jobs, err := CampaignJobs(CampaignSpec{RunSpec: RunSpec{Scale: 0.05}, Benchmarks: []string{"gauss"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestSupervisedCampaignAcceptance(t *testing.T) {
 		scale = 0.05
 		grid  = 12
 	)
-	spec := CampaignSpec{Seed: seed, Scale: scale, Grid: grid,
+	spec := CampaignSpec{RunSpec: RunSpec{Seed: seed, Scale: scale, Grid: grid},
 		Benchmarks: []string{"gauss"}, SkipThermal: true}
 	jobs, err := CampaignJobs(spec)
 	if err != nil {
@@ -104,7 +105,7 @@ func TestSupervisedCampaignAcceptance(t *testing.T) {
 	// Every healthy job's value is identical to the unsupervised run.
 	bench, _ := workload.ByName("gauss")
 	for _, o := range MemoryOptions() {
-		want, err := RunMemoryPerf(context.Background(), RunSpec{Seed: seed, Scale: scale}, o, bench)
+		want, err := RunMemoryPerf(context.Background(), RunSpec{Seed: seed, Scale: scale}, o, bench, fault.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,9 +145,8 @@ func TestThermalErrorSurfacedThroughCore(t *testing.T) {
 }
 
 func TestCampaignSpecWireRoundTrip(t *testing.T) {
-	spec := CampaignSpec{Seed: 7, Scale: 0.05, Grid: 16,
-		Benchmarks: []string{"gauss", "pcg"}, SkipThermal: true,
-		Method: thermal.MethodMultigrid}
+	spec := CampaignSpec{RunSpec: RunSpec{Seed: 7, Scale: 0.05, Grid: 16, Method: thermal.MethodMultigrid},
+		Benchmarks: []string{"gauss", "pcg"}, SkipThermal: true}
 	raw, err := spec.EncodeWire()
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestCampaignSpecWireRoundTrip(t *testing.T) {
 		t.Fatal("garbage accepted")
 	}
 	// Unknown solver methods are typed failures at both ends.
-	if _, err := (CampaignSpec{Method: thermal.Method(9)}).EncodeWire(); !errors.Is(err, thermal.ErrBadMethod) {
+	if _, err := (CampaignSpec{RunSpec: RunSpec{Method: thermal.Method(9)}}).EncodeWire(); !errors.Is(err, thermal.ErrBadMethod) {
 		t.Fatalf("EncodeWire err = %v, want ErrBadMethod", err)
 	}
 	if _, err := DecodeWireSpec([]byte(`{"seed":1,"method":"jacobi"}`)); !errors.Is(err, thermal.ErrBadMethod) {
@@ -185,7 +185,7 @@ func TestCampaignSpecWireRoundTrip(t *testing.T) {
 	}
 	// The default method stays off the wire, so default specs keep the
 	// bytes and hash they had before multigrid became the default.
-	raw3, err := (CampaignSpec{Seed: 1}).EncodeWire()
+	raw3, err := (CampaignSpec{RunSpec: RunSpec{Seed: 1}}).EncodeWire()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestCampaignSpecWireRoundTrip(t *testing.T) {
 // TestCampaignRejectsBadMethod: an unknown method is validated up
 // front, one typed failure for the whole campaign.
 func TestCampaignRejectsBadMethod(t *testing.T) {
-	_, err := CampaignJobs(CampaignSpec{Scale: 0.01, Method: thermal.Method(3)})
+	_, err := CampaignJobs(CampaignSpec{RunSpec: RunSpec{Scale: 0.01, Method: thermal.Method(3)}})
 	if !errors.Is(err, thermal.ErrBadMethod) {
 		t.Fatalf("err = %v, want ErrBadMethod", err)
 	}

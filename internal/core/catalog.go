@@ -293,6 +293,26 @@ type FaultParams struct {
 	SensorStuckAtC    float64 `json:"sensor_stuck_at_c,omitempty"`
 }
 
+// FaultParamsFor spells fc's nine wire fields as catalog params, the
+// inverse of the projection the catalog runners apply; it returns nil
+// when fc injects nothing.
+func FaultParamsFor(fc fault.Config) *FaultParams {
+	if !fc.Enabled() {
+		return nil
+	}
+	return &FaultParams{
+		Seed:              fc.Seed,
+		CorrectablePerM:   fc.CorrectablePerMAccess,
+		UncorrectablePerM: fc.UncorrectablePerMAccess,
+		DeadBanks:         fc.DeadBanks,
+		TSVFailFrac:       fc.TSVFailFrac,
+		SensorNoiseC:      fc.SensorNoiseC,
+		SensorOffsetC:     fc.SensorOffsetC,
+		SensorStuck:       fc.SensorStuckAt,
+		SensorStuckAtC:    fc.SensorStuckAtC,
+	}
+}
+
 func (p *FaultParams) config() fault.Config {
 	if p == nil {
 		return fault.Config{}
@@ -462,7 +482,7 @@ func initCatalog() {
 		{
 			Name:      "memory-perf",
 			Doc:       "replay one benchmark against one Figure 5 configuration, optionally with stacked-DRAM fault injection",
-			fn:        []string{"RunMemoryPerf", "RunMemoryPerfWithFaults"},
+			fn:        []string{"RunMemoryPerf"},
 			NewParams: func() any { return &MemoryPerfParams{} },
 			Runner: func(ctx context.Context, spec RunSpec, params any) (any, error) {
 				p := params.(*MemoryPerfParams)
@@ -474,10 +494,7 @@ func initCatalog() {
 				if err != nil {
 					return nil, err
 				}
-				if p.Faults == nil {
-					return RunMemoryPerf(ctx, spec, o, b)
-				}
-				return RunMemoryPerfWithFaults(ctx, spec, o, b, p.Faults.config())
+				return RunMemoryPerf(ctx, spec, o, b, p.Faults.config())
 			},
 		},
 		{
@@ -575,10 +592,7 @@ func initCatalog() {
 			fn:        []string{"RunTable4"},
 			NewParams: func() any { return &Table4Params{} },
 			Runner: func(ctx context.Context, spec RunSpec, params any) (any, error) {
-				return RunTable4(ctx, Table4Request{
-					Spec:         spec,
-					Instructions: params.(*Table4Params).Instructions,
-				})
+				return RunTable4(ctx, spec, params.(*Table4Params).Instructions)
 			},
 		},
 		{
@@ -586,7 +600,7 @@ func initCatalog() {
 			Doc:  "voltage/frequency scaling scenarios on the measured 3D thermal response (Table 5)",
 			fn:   []string{"RunTable5"},
 			Runner: func(ctx context.Context, spec RunSpec, _ any) (any, error) {
-				return RunTable5(ctx, Table5Request{Spec: spec})
+				return RunTable5(ctx, spec)
 			},
 		},
 		{
@@ -594,7 +608,7 @@ func initCatalog() {
 			Doc:  "derive the Logic+Logic interconnect power saving from the two floorplans",
 			fn:   []string{"RunPowerDerivation"},
 			Runner: func(ctx context.Context, spec RunSpec, _ any) (any, error) {
-				return RunPowerDerivation(ctx, PowerDerivationRequest{Spec: spec})
+				return RunPowerDerivation(ctx, spec)
 			},
 		},
 		{
@@ -602,7 +616,7 @@ func initCatalog() {
 			Doc:  "derive the critical-path wire pipe stages from the planar and folded floorplans",
 			fn:   []string{"RunWireDerivation"},
 			Runner: func(ctx context.Context, spec RunSpec, _ any) (any, error) {
-				return RunWireDerivation(ctx, WireDerivationRequest{Spec: spec})
+				return RunWireDerivation(ctx, spec)
 			},
 		},
 		{
@@ -611,10 +625,7 @@ func initCatalog() {
 			fn:        []string{"RunMultiDieSweep"},
 			NewParams: func() any { return &MultiDieParams{} },
 			Runner: func(ctx context.Context, spec RunSpec, params any) (any, error) {
-				return RunMultiDieSweep(ctx, MultiDieRequest{
-					Spec:    spec,
-					MaxDies: params.(*MultiDieParams).MaxDies,
-				})
+				return RunMultiDieSweep(ctx, spec, params.(*MultiDieParams).MaxDies)
 			},
 		},
 		{
@@ -622,7 +633,7 @@ func initCatalog() {
 			Doc:  "automatic place-observe-repair fold vs the hand-crafted Figure 10 fold",
 			fn:   []string{"RunAutoFold"},
 			Runner: func(ctx context.Context, spec RunSpec, _ any) (any, error) {
-				return RunAutoFold(ctx, AutoFoldRequest{Spec: spec})
+				return RunAutoFold(ctx, spec)
 			},
 		},
 		{
@@ -660,11 +671,7 @@ func initCatalog() {
 			NewParams: func() any { return &CampaignParams{} },
 			Runner: func(ctx context.Context, spec RunSpec, params any) (any, error) {
 				p := params.(*CampaignParams)
-				cs := CampaignSpec{
-					Seed: spec.Seed, Scale: spec.Scale, Grid: spec.Grid,
-					Benchmarks: p.Benchmarks, SkipThermal: p.SkipThermal,
-					Method: spec.Method, Obs: spec.Obs, Workspaces: spec.Workspaces,
-				}
+				cs := CampaignSpec{RunSpec: spec, Benchmarks: p.Benchmarks, SkipThermal: p.SkipThermal}
 				return RunCampaign(ctx, cs, harness.Config{Workers: p.Workers, Retries: p.Retries})
 			},
 		},

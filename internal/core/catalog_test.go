@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"diestack/internal/canon"
+	"diestack/internal/fault"
 	"diestack/internal/thermal"
 )
 
@@ -244,7 +245,7 @@ func TestCatalogMatchesDirectCall(t *testing.T) {
 // the wire, and workers hash these bytes to fence campaigns, so any
 // drift here is a cross-version interop break.
 func TestCampaignWirePin(t *testing.T) {
-	spec := CampaignSpec{Seed: 3, Scale: 0.5, Grid: 64}
+	spec := CampaignSpec{RunSpec: RunSpec{Seed: 3, Scale: 0.5, Grid: 64}}
 	raw, err := spec.EncodeWire()
 	if err != nil {
 		t.Fatal(err)
@@ -263,5 +264,41 @@ func TestCampaignWirePin(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, spec) {
 		t.Fatalf("round trip mutated the spec: %+v", got)
+	}
+}
+
+// TestFaultParamsRoundTrip: FaultParamsFor inverts the params' fault
+// configuration across all nine wire fields, and spells a config that
+// injects nothing as no params at all.
+func TestFaultParamsRoundTrip(t *testing.T) {
+	p := &FaultParams{
+		Seed:              3,
+		CorrectablePerM:   10,
+		UncorrectablePerM: 20,
+		DeadBanks:         []int{0, 5},
+		TSVFailFrac:       0.25,
+		SensorNoiseC:      1.5,
+		SensorOffsetC:     -2,
+		SensorStuck:       true,
+		SensorStuckAtC:    50,
+	}
+	v := reflect.ValueOf(*p)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("FaultParams.%s is zero; the round trip would not cover it", v.Type().Field(i).Name)
+		}
+	}
+	fc := p.config()
+	if got := FaultParamsFor(fc); !reflect.DeepEqual(got, p) {
+		t.Fatalf("round trip mutated the params:\nin:  %+v\nout: %+v", p, got)
+	}
+	if got := FaultParamsFor(fc).config(); !reflect.DeepEqual(got, fc) {
+		t.Fatalf("round trip mutated the config:\nin:  %+v\nout: %+v", fc, got)
+	}
+	if got := FaultParamsFor(fault.Config{}); got != nil {
+		t.Fatalf("zero config spelled as %+v, want nil", got)
+	}
+	if got := (*FaultParams)(nil).config(); !reflect.DeepEqual(got, fault.Config{}) {
+		t.Fatalf("nil params configure %+v, want the zero config", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"diestack/internal/fault"
 	"diestack/internal/workload"
 )
 
@@ -56,11 +57,11 @@ func TestRunMemoryPerf(t *testing.T) {
 	// Reference scale: capacity response requires the real footprint
 	// (a scaled-down gauss fits the 4 MB baseline and shows nothing).
 	b, _ := workload.ByName("gauss")
-	base, err := RunMemoryPerf(context.Background(), RunSpec{Seed: 1, Scale: 1.0}, Planar4MB, b)
+	base, err := RunMemoryPerf(context.Background(), RunSpec{Seed: 1, Scale: 1.0}, Planar4MB, b, fault.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := RunMemoryPerf(context.Background(), RunSpec{Seed: 1, Scale: 1.0}, Stacked32MB, b)
+	big, err := RunMemoryPerf(context.Background(), RunSpec{Seed: 1, Scale: 1.0}, Stacked32MB, b, fault.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +139,28 @@ func TestHeadlineClaims(t *testing.T) {
 		if !b.FitsIn4MB && red < 5 {
 			t.Errorf("%s should respond to capacity, reduction %.1f%%", b.Name, red)
 		}
+	}
+}
+
+// TestHeadlineWhenNoKernelImproves: with every kernel slower on the
+// 32 MB stack, the peak is the least-bad reduction (negative) and is
+// still attributed to a benchmark.
+func TestHeadlineWhenNoKernelImproves(t *testing.T) {
+	f := &Figure5Result{
+		Benchmarks: []string{"a", "b", "c"},
+		Options:    []MemoryOption{Planar4MB, Stacked32MB},
+		Rows: [][]MemoryPerf{
+			{{CPMA: 1}, {CPMA: 1.5}},
+			{{CPMA: 1}, {CPMA: 1.1}},
+			{{CPMA: 1}, {CPMA: 2}},
+		},
+	}
+	h := f.Headline()
+	if h.MaxReductionBenchmark != "b" || math.Abs(h.MaxCPMAReductionPct+10) > 1e-9 {
+		t.Fatalf("peak %.3f%% on %q, want -10%% on b", h.MaxCPMAReductionPct, h.MaxReductionBenchmark)
+	}
+	if math.Abs(h.AvgCPMAReductionPct+(50+10+100)/3.0) > 1e-9 {
+		t.Fatalf("average %.3f%%, want %.3f%%", h.AvgCPMAReductionPct, -(50+10+100)/3.0)
 	}
 }
 
@@ -220,7 +243,7 @@ func TestFigure11Shape(t *testing.T) {
 }
 
 func TestTable4Totals(t *testing.T) {
-	t4, err := RunTable4(context.Background(), Table4Request{Spec: RunSpec{Seed: 1}, Instructions: 30_000})
+	t4, err := RunTable4(context.Background(), RunSpec{Seed: 1}, 30_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,17 +261,17 @@ func TestTable4Totals(t *testing.T) {
 // TestTable4InstructionCap: a request above MaxTable4Instructions is
 // refused before any program is generated.
 func TestTable4InstructionCap(t *testing.T) {
-	_, err := RunTable4(context.Background(), Table4Request{Instructions: MaxTable4Instructions + 1})
+	_, err := RunTable4(context.Background(), RunSpec{}, MaxTable4Instructions+1)
 	if err == nil || !strings.Contains(err.Error(), "exceeds the maximum") {
 		t.Fatalf("over-cap request: %v", err)
 	}
-	if _, err := RunTable4(context.Background(), Table4Request{Instructions: 4_000_000_000}); err == nil {
+	if _, err := RunTable4(context.Background(), RunSpec{}, 4_000_000_000); err == nil {
 		t.Fatal("4e9 instructions accepted")
 	}
 }
 
 func TestTable5Rows(t *testing.T) {
-	rows, err := RunTable5(context.Background(), Table5Request{Spec: RunSpec{Grid: testGrid}})
+	rows, err := RunTable5(context.Background(), RunSpec{Grid: testGrid})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,24 +27,16 @@ type MultiDiePoint struct {
 	TotalPowerW float64
 }
 
-// DefaultMaxDies is the ladder height a zero MultiDieRequest sweeps.
+// DefaultMaxDies is the ladder height RunMultiDieSweep climbs when
+// asked for none.
 const DefaultMaxDies = 4
 
-// MultiDieRequest parameterizes RunMultiDieSweep. Spec.Grid sizes the
-// thermal solves; Spec.Method selects the solver.
-type MultiDieRequest struct {
-	Spec RunSpec
-	// MaxDies is the tallest stack solved (<= 0 selects DefaultMaxDies;
-	// an explicit value must be >= 2).
-	MaxDies int
-}
-
-// RunMultiDieSweep solves the thermal stack for 2..MaxDies dies: the
+// RunMultiDieSweep solves the thermal stack for 2..maxDies dies: the
 // 92 W CPU plus (n-1) 64 MB DRAM dies at 6.2 W each. It quantifies the
-// thermal price of going beyond the paper's two-die limit.
-func RunMultiDieSweep(ctx context.Context, req MultiDieRequest) ([]MultiDiePoint, error) {
-	spec := req.Spec
-	maxDies := req.MaxDies
+// thermal price of going beyond the paper's two-die limit. maxDies <= 0
+// selects DefaultMaxDies; an explicit value must be >= 2. spec.Grid
+// sizes the thermal solves; spec.Method selects the solver.
+func RunMultiDieSweep(ctx context.Context, spec RunSpec, maxDies int) ([]MultiDiePoint, error) {
 	if maxDies <= 0 {
 		maxDies = DefaultMaxDies
 	}
@@ -114,16 +106,10 @@ type AutoFoldComparison struct {
 	PlanarWire float64
 }
 
-// AutoFoldRequest parameterizes RunAutoFold. Spec.Grid sizes the
-// thermal solves; Spec.Method selects the solver.
-type AutoFoldRequest struct {
-	Spec RunSpec
-}
-
 // RunAutoFold folds the planar Pentium 4-class floorplan automatically
-// and compares it with the paper's hand fold.
-func RunAutoFold(ctx context.Context, req AutoFoldRequest) (AutoFoldComparison, error) {
-	spec := req.Spec
+// and compares it with the paper's hand fold. spec.Grid sizes the
+// thermal solves; spec.Method selects the solver.
+func RunAutoFold(ctx context.Context, spec RunSpec) (AutoFoldComparison, error) {
 	planar := floorplan.Pentium4Planar()
 	auto, err := floorplan.AutoFold(planar, floorplan.FoldOptions{
 		DensityTarget: 1.35,

@@ -10,7 +10,7 @@ import (
 )
 
 func TestMultiDieSweepShape(t *testing.T) {
-	pts, err := RunMultiDieSweep(context.Background(), MultiDieRequest{Spec: RunSpec{Grid: testGrid}, MaxDies: 4})
+	pts, err := RunMultiDieSweep(context.Background(), RunSpec{Grid: testGrid}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestMultiDieSweepShape(t *testing.T) {
 			t.Errorf("die %d added %.1f degC, implausibly high", pts[i].Dies, d)
 		}
 	}
-	if _, err := RunMultiDieSweep(context.Background(), MultiDieRequest{Spec: RunSpec{Grid: testGrid}, MaxDies: 1}); err == nil {
+	if _, err := RunMultiDieSweep(context.Background(), RunSpec{Grid: testGrid}, 1); err == nil {
 		t.Error("maxDies=1 accepted")
 	}
 }
@@ -89,7 +89,7 @@ func TestMultiDieCapacityHelpsSvm(t *testing.T) {
 }
 
 func TestRunAutoFoldComparison(t *testing.T) {
-	cmp, err := RunAutoFold(context.Background(), AutoFoldRequest{Spec: RunSpec{Grid: testGrid}})
+	cmp, err := RunAutoFold(context.Background(), RunSpec{Grid: testGrid})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,26 +136,16 @@ func RunFigure11(ctx context.Context, spec RunSpec) ([]LogicThermal, error) {
 	return out, nil
 }
 
-// DefaultTable4Instructions is the per-profile instruction count a
-// zero Table4Request replays — the paper-sweep default.
+// DefaultTable4Instructions is the per-profile instruction count
+// RunTable4 replays when asked for none — the paper-sweep default.
 const DefaultTable4Instructions = 200_000
 
-// MaxTable4Instructions caps the per-profile instruction count a
-// Table4Request may ask for (10x the default). Each profile's program
+// MaxTable4Instructions caps the per-profile instruction count
+// RunTable4 accepts (10x the default). Each profile's program
 // takes about 24 bytes per instruction, so an unbounded count from a
 // request body could demand more memory than the host has, and the Go
 // runtime's out-of-memory error is fatal to the whole process.
 const MaxTable4Instructions = 2_000_000
-
-// Table4Request parameterizes RunTable4. Spec.Seed seeds the synthetic
-// instruction profiles; the other spec fields are unused.
-type Table4Request struct {
-	Spec RunSpec
-	// Instructions is the per-profile instruction count (<= 0 selects
-	// DefaultTable4Instructions; above MaxTable4Instructions is an
-	// error).
-	Instructions int
-}
 
 // Table4Result bundles the Table 4 rows with the fold's aggregate
 // pipeline verdict.
@@ -170,9 +160,11 @@ type Table4Result struct {
 }
 
 // RunTable4 measures the per-functionality pipeline gains of the 3D
-// fold (Table 4).
-func RunTable4(ctx context.Context, req Table4Request) (Table4Result, error) {
-	n := req.Instructions
+// fold (Table 4), replaying n instructions per profile (<= 0 selects
+// DefaultTable4Instructions; above MaxTable4Instructions is an error).
+// spec.Seed seeds the synthetic instruction profiles; the other spec
+// fields are unused.
+func RunTable4(ctx context.Context, spec RunSpec, n int) (Table4Result, error) {
 	if n <= 0 {
 		n = DefaultTable4Instructions
 	}
@@ -180,7 +172,7 @@ func RunTable4(ctx context.Context, req Table4Request) (Table4Result, error) {
 		return Table4Result{}, fmt.Errorf("core: table4: %d instructions per profile exceeds the maximum %d", n, MaxTable4Instructions)
 	}
 	cfg := uarch.PlanarConfig()
-	rows, totalGainPct, err := synth.Table4(ctx, cfg, req.Spec.Seed, n)
+	rows, totalGainPct, err := synth.Table4(ctx, cfg, spec.Seed, n)
 	if err != nil {
 		return Table4Result{}, err
 	}
@@ -192,17 +184,9 @@ func RunTable4(ctx context.Context, req Table4Request) (Table4Result, error) {
 	}, nil
 }
 
-// Table5Request parameterizes RunTable5. Spec.Grid sizes the thermal
-// solves (the search solves the stack several times; coarser grids are
-// markedly faster).
-type Table5Request struct {
-	Spec RunSpec
-}
-
 // RunTable5 computes the voltage/frequency scaling rows using the
-// measured 3D thermal response.
-func RunTable5(ctx context.Context, req Table5Request) ([]power.Point, error) {
-	spec := req.Spec
+// measured 3D thermal response. spec.Grid sizes the thermal solves.
+func RunTable5(ctx context.Context, spec RunSpec) ([]power.Point, error) {
 	laws := power.PaperLaws()
 	design := power.Pentium4ThreeDDesign()
 
@@ -230,18 +214,12 @@ func RunTable5(ctx context.Context, req Table5Request) ([]power.Point, error) {
 	return laws.Table5(design, tempAt, baseline.PeakC)
 }
 
-// PowerDerivationRequest parameterizes RunPowerDerivation. The
-// derivation is closed-form over the two floorplans, so the spec is
-// carried only for catalog uniformity.
-type PowerDerivationRequest struct {
-	Spec RunSpec
-}
-
 // RunPowerDerivation derives the Logic+Logic power saving from the
 // two floorplans through the interconnect power model: half the global
 // wire, the removed wire-stage latch banks, and a clock grid over half
 // the footprint — the components the paper lists for its 15% figure.
-func RunPowerDerivation(ctx context.Context, req PowerDerivationRequest) (wire.SavingReport, error) {
+// The derivation is closed-form and reads nothing from spec.
+func RunPowerDerivation(ctx context.Context, spec RunSpec) (wire.SavingReport, error) {
 	nets := append(floorplan.LoadToUseNets(),
 		floorplan.Net{A: "L2", B: "bus", Weight: 4},
 		floorplan.Net{A: "L2", B: "D$", Weight: 4},
@@ -254,13 +232,6 @@ func RunPowerDerivation(ctx context.Context, req PowerDerivationRequest) (wire.S
 	return wire.Pentium4PowerModel().DeriveSaving(wire.Pentium4Era(),
 		floorplan.Pentium4Planar(), floorplan.Pentium4ThreeD(),
 		nets, floorplan.Pentium4TotalW)
-}
-
-// WireDerivationRequest parameterizes RunWireDerivation. Like the
-// power derivation, it is closed-form; the spec rides along for
-// catalog uniformity.
-type WireDerivationRequest struct {
-	Spec RunSpec
 }
 
 // WirePath pairs a named signal path with its derived planar/3D wire
@@ -276,8 +247,9 @@ type WirePath struct {
 // the repeated-wire RC model — the physical rationale behind the
 // Table 4 fold. The load-to-use path loses its planar wire stage and
 // the FP register-read path loses both of its allocated cycles,
-// matching the paper's narrative for Figures 9 and 10.
-func RunWireDerivation(ctx context.Context, req WireDerivationRequest) ([]WirePath, error) {
+// matching the paper's narrative for Figures 9 and 10. Like the power
+// derivation, it is closed-form and reads nothing from spec.
+func RunWireDerivation(ctx context.Context, spec RunSpec) ([]WirePath, error) {
 	tech := wire.Pentium4Era()
 	paths := [][2]string{
 		{"D$", "F"}, {"RF", "FP"}, {"RF", "SIMD"},

@@ -147,7 +147,7 @@ type MemoryPerf struct {
 	// Refs is the number of memory references replayed.
 	Refs uint64
 	// Faults holds the injected-fault and recovery counters (all-zero
-	// when injection is disabled; see RunMemoryPerfWithFaults).
+	// when injection is disabled).
 	Faults fault.Stats
 	// DRAMRemapped counts stacked-DRAM accesses redirected off dead
 	// banks; DRAMFaultCycles is latency added by degraded via lanes.
@@ -156,24 +156,48 @@ type MemoryPerf struct {
 }
 
 // RunMemoryPerf replays one benchmark's trace against one
-// configuration. spec.Seed and spec.Scale size the workload; spec.Obs
-// instruments the replay. The replay checks ctx periodically and
-// aborts with its error on cancellation.
-func RunMemoryPerf(ctx context.Context, spec RunSpec, o MemoryOption, bench workload.Benchmark) (MemoryPerf, error) {
+// configuration, with fc injected on the stacked DRAM cache (a zero fc
+// injects nothing). spec.Seed and spec.Scale size the workload;
+// spec.Obs instruments the replay. The replay checks ctx periodically
+// and aborts with its error on cancellation.
+func RunMemoryPerf(ctx context.Context, spec RunSpec, o MemoryOption, bench workload.Benchmark, fc fault.Config) (MemoryPerf, error) {
+	return replayMemory(ctx, spec, o, bench.Name, bench.Generate(spec.Seed, spec.Scale), fc)
+}
+
+// replayMemory replays recs, the named benchmark's trace, against
+// option o's hierarchy with fc injected on the stacked DRAM cache.
+func replayMemory(ctx context.Context, spec RunSpec, o MemoryOption, bench string, recs []trace.Record, fc fault.Config) (MemoryPerf, error) {
 	cfg, err := o.HierarchyConfig()
 	if err != nil {
 		return MemoryPerf{}, err
+	}
+	cfg.Faults = fc
+	if cfg.L2Type == memhier.L2DRAM && len(fc.DeadBanks) > 0 {
+		// Surface an impossible bank-kill before building the machine.
+		if err := fc.ValidateBanks(cfg.DRAMArray.Banks); err != nil {
+			return MemoryPerf{}, fmt.Errorf("core: faults: %w", err)
+		}
 	}
 	sim, err := memhier.New(cfg)
 	if err != nil {
 		return MemoryPerf{}, err
 	}
-	recs := bench.Generate(spec.Seed, spec.Scale)
 	res, err := sim.Run(ctx, trace.NewSliceStream(recs), memhier.RunOptions{Obs: spec.Obs})
 	if err != nil {
-		return MemoryPerf{}, fmt.Errorf("core: %s on %s: %w", bench.Name, o, err)
+		return MemoryPerf{}, fmt.Errorf("core: %s on %s: %w", bench, o, err)
 	}
-	return memoryPerfFrom(bench.Name, o, res), nil
+	return MemoryPerf{
+		Benchmark:       bench,
+		Option:          o,
+		CPMA:            res.CPMA,
+		BandwidthGBs:    res.BandwidthGBs,
+		BusPowerW:       res.BusPowerW,
+		OffDieBytes:     res.OffDieBytes,
+		Refs:            res.Refs,
+		Faults:          res.Faults,
+		DRAMRemapped:    res.DRAMCache.Remapped,
+		DRAMFaultCycles: res.DRAMCache.FaultCycles,
+	}, nil
 }
 
 // Figure5Result holds the full sweep: rows[benchmark][option].
@@ -196,19 +220,11 @@ func RunFigure5(ctx context.Context, spec RunSpec) (*Figure5Result, error) {
 		recs := b.Generate(spec.Seed, spec.Scale)
 		row := make([]MemoryPerf, 0, len(opts))
 		for _, o := range opts {
-			cfg, err := o.HierarchyConfig()
+			p, err := replayMemory(ctx, spec, o, b.Name, recs, fault.Config{})
 			if err != nil {
 				return nil, err
 			}
-			sim, err := memhier.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			res, err := sim.Run(ctx, trace.NewSliceStream(recs), memhier.RunOptions{Obs: spec.Obs})
-			if err != nil {
-				return nil, fmt.Errorf("core: %s on %s: %w", b.Name, o, err)
-			}
-			row = append(row, memoryPerfFrom(b.Name, o, res))
+			row = append(row, p)
 		}
 		out.Rows = append(out.Rows, row)
 	}
@@ -252,7 +268,9 @@ func (f *Figure5Result) Headline() Headline {
 		base, big := row[baseIdx], row[bigIdx]
 		red := (1 - big.CPMA/base.CPMA) * 100
 		sumRed += red
-		if red > h.MaxCPMAReductionPct {
+		// Seed the maximum from the first row: when no kernel improves,
+		// the best one is still named.
+		if i == 0 || red > h.MaxCPMAReductionPct {
 			h.MaxCPMAReductionPct = red
 			h.MaxReductionBenchmark = f.Benchmarks[i]
 		}
@@ -284,23 +302,16 @@ type MemoryThermal struct {
 // to converge surfaces thermal.ErrNotConverged (or thermal.ErrDiverged)
 // wrapped with the option it was solving.
 func RunMemoryThermal(ctx context.Context, spec RunSpec, o MemoryOption) (MemoryThermal, error) {
-	stack, fp, err := o.buildStack(spec.Grid)
+	field, cpu, fp, err := o.solve(ctx, spec)
 	if err != nil {
 		return MemoryThermal{}, err
 	}
-	field, err := solveStack(ctx, spec, o.stackKey(spec.Grid), stack)
-	if err != nil {
-		return MemoryThermal{}, fmt.Errorf("core: thermal solve for %s: %w", o, err)
-	}
+	stack := field.Stack()
 	die := thermal.CenteredDie(stack.Width, stack.Height, fp.DieW, fp.DieH)
-	li := stack.LayerIndex("active")
-	if li < 0 {
-		li = stack.LayerIndex("active #1")
-	}
 	return MemoryThermal{
 		Option:      o,
 		PeakC:       field.Peak(),
-		MinC:        field.LayerPeakMinIn(li, die),
+		MinC:        field.LayerPeakMinIn(cpu, die),
 		TotalPowerW: fp.TotalPower(),
 	}, nil
 }
@@ -310,19 +321,31 @@ func RunMemoryThermal(ctx context.Context, spec RunSpec, o MemoryOption) (Memory
 // the 32 MB configuration. spec.Grid <= 0 selects the default
 // resolution.
 func RunMemoryThermalMap(ctx context.Context, spec RunSpec, o MemoryOption) ([][]float64, error) {
-	stack, _, err := o.buildStack(spec.Grid)
+	field, cpu, _, err := o.solve(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
+	return field.LayerMap(cpu), nil
+}
+
+// solve builds and solves the option's stack under its stackKey. It
+// returns the field, the index of the CPU die's active layer ("active"
+// on the planar stack, "active #1" on a stacked one) and the
+// floorplan.
+func (o MemoryOption) solve(ctx context.Context, spec RunSpec) (*thermal.Field, int, *floorplan.Floorplan, error) {
+	stack, fp, err := o.buildStack(spec.Grid)
+	if err != nil {
+		return nil, 0, nil, err
+	}
 	field, err := solveStack(ctx, spec, o.stackKey(spec.Grid), stack)
 	if err != nil {
-		return nil, fmt.Errorf("core: thermal solve for %s: %w", o, err)
+		return nil, 0, nil, fmt.Errorf("core: thermal solve for %s: %w", o, err)
 	}
-	li := stack.LayerIndex("active")
-	if li < 0 {
-		li = stack.LayerIndex("active #1")
+	cpu := stack.LayerIndex("active")
+	if cpu < 0 {
+		cpu = stack.LayerIndex("active #1")
 	}
-	return field.LayerMap(li), nil
+	return field, cpu, fp, nil
 }
 
 // RunFigure8 solves all four options (Figure 8a).

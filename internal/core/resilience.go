@@ -6,11 +6,8 @@ import (
 
 	"diestack/internal/dtm"
 	"diestack/internal/fault"
-	"diestack/internal/memhier"
 	"diestack/internal/power"
 	"diestack/internal/thermal"
-	"diestack/internal/trace"
-	"diestack/internal/workload"
 )
 
 // This file ties the fault and dtm packages into the paper's two
@@ -98,47 +95,4 @@ func RunManagedLogicThermal(ctx context.Context, spec RunSpec, o LogicOption, cf
 		out.Faults = inj.Stats()
 	}
 	return out, runErr
-}
-
-// RunMemoryPerfWithFaults replays one benchmark's trace against one
-// Memory+Logic configuration with fault injection on the stacked DRAM
-// cache. A zero fc reproduces RunMemoryPerf exactly.
-func RunMemoryPerfWithFaults(ctx context.Context, spec RunSpec, o MemoryOption, bench workload.Benchmark, fc fault.Config) (MemoryPerf, error) {
-	cfg, err := o.HierarchyConfig()
-	if err != nil {
-		return MemoryPerf{}, err
-	}
-	cfg.Faults = fc
-	if cfg.L2Type == memhier.L2DRAM && len(fc.DeadBanks) > 0 {
-		// Surface an impossible bank-kill before building the machine.
-		if err := fc.ValidateBanks(cfg.DRAMArray.Banks); err != nil {
-			return MemoryPerf{}, fmt.Errorf("core: faults: %w", err)
-		}
-	}
-	sim, err := memhier.New(cfg)
-	if err != nil {
-		return MemoryPerf{}, err
-	}
-	recs := bench.Generate(spec.Seed, spec.Scale)
-	res, err := sim.Run(ctx, trace.NewSliceStream(recs), memhier.RunOptions{Obs: spec.Obs})
-	if err != nil {
-		return MemoryPerf{}, fmt.Errorf("core: %s on %s: %w", bench.Name, o, err)
-	}
-	return memoryPerfFrom(bench.Name, o, res), nil
-}
-
-// memoryPerfFrom maps a hierarchy result onto the Figure 5 row shape.
-func memoryPerfFrom(bench string, o MemoryOption, res memhier.Result) MemoryPerf {
-	return MemoryPerf{
-		Benchmark:       bench,
-		Option:          o,
-		CPMA:            res.CPMA,
-		BandwidthGBs:    res.BandwidthGBs,
-		BusPowerW:       res.BusPowerW,
-		OffDieBytes:     res.OffDieBytes,
-		Refs:            res.Refs,
-		Faults:          res.Faults,
-		DRAMRemapped:    res.DRAMCache.Remapped,
-		DRAMFaultCycles: res.DRAMCache.FaultCycles,
-	}
 }

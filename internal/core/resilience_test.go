@@ -120,19 +120,16 @@ func TestStuckSensorBlindsDTM(t *testing.T) {
 
 func TestMemoryPerfWithFaultsDegradesCPMA(t *testing.T) {
 	b, _ := workload.ByName("gauss")
-	clean, err := RunMemoryPerfWithFaults(context.Background(), RunSpec{Seed: 1, Scale: 0.1}, Stacked32MB, b, fault.Config{})
+	clean, err := RunMemoryPerf(context.Background(), RunSpec{Seed: 1, Scale: 0.1}, Stacked32MB, b, fault.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := RunMemoryPerf(context.Background(), RunSpec{Seed: 1, Scale: 0.1}, Stacked32MB, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(clean, ref) {
-		t.Fatalf("zero fault config diverges from RunMemoryPerf:\n%+v\n%+v", clean, ref)
+	// A zero fault config records no fault activity.
+	if !reflect.DeepEqual(clean.Faults, fault.Stats{}) || clean.DRAMRemapped != 0 || clean.DRAMFaultCycles != 0 {
+		t.Fatalf("zero fault config recorded fault activity: %+v", clean)
 	}
 
-	faulty, err := RunMemoryPerfWithFaults(context.Background(), RunSpec{Seed: 1, Scale: 0.1}, Stacked32MB, b, fault.Config{
+	faulty, err := RunMemoryPerf(context.Background(), RunSpec{Seed: 1, Scale: 0.1}, Stacked32MB, b, fault.Config{
 		Seed:                    5,
 		UncorrectablePerMAccess: 20000,
 		DeadBanks:               []int{0, 1, 2, 3},
@@ -159,7 +156,7 @@ func TestMemoryPerfWithFaultsRejectsBadBankKill(t *testing.T) {
 	for i := range dead {
 		dead[i] = i
 	}
-	_, err := RunMemoryPerfWithFaults(context.Background(), RunSpec{Seed: 1, Scale: 0.05}, Stacked32MB, b, fault.Config{DeadBanks: dead})
+	_, err := RunMemoryPerf(context.Background(), RunSpec{Seed: 1, Scale: 0.05}, Stacked32MB, b, fault.Config{DeadBanks: dead})
 	if !errors.Is(err, fault.ErrAllBanksDead) {
 		t.Fatalf("want ErrAllBanksDead, got %v", err)
 	}

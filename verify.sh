@@ -36,6 +36,12 @@ go run ./cmd/stacklint ./...
 echo "== go build =="
 go build ./...
 
+echo "== repobench build =="
+# The benchmark is a nested module compiled against this one's
+# internal/core API: a signature change that breaks it fails here, not
+# in the benchmark run.
+(cd repobench && go build ./... && go vet ./...)
+
 echo "== go test -race =="
 go test -race ./...
 
