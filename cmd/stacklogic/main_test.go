@@ -52,8 +52,9 @@ func TestTable4Golden(t *testing.T) {
 	}
 }
 
-// TestGolden pins the combined and autofold reports byte for byte at a
-// coarse grid. Regenerate a file with
+// TestGolden pins the combined, autofold and Figure 11 reports byte
+// for byte at a coarse grid; the parallel Figure 11 run must print the
+// serial run's bytes. Regenerate a file with
 //
 //	go run ./cmd/stacklogic <args> > cmd/stacklogic/testdata/<name>.golden
 //
@@ -66,9 +67,14 @@ func TestGolden(t *testing.T) {
 		// Table 4, the wire and power derivations, Figure 11, Table 5.
 		{"all", []string{"-n", "20000", "-grid", "16"}},
 		{"autofold", []string{"-autofold", "-grid", "16"}},
+		// Figure 11 solved serially and on three parallel workers: the
+		// bars come back in paper order either way.
+		{"thermal", []string{"-thermal", "-grid", "16", "-jobs", "1"}},
+		{"thermal-jobs3", []string{"-thermal", "-grid", "16", "-jobs", "3"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := os.ReadFile("testdata/" + tc.name + ".golden")
+			golden := strings.TrimSuffix(tc.name, "-jobs3")
+			want, err := os.ReadFile("testdata/" + golden + ".golden")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +84,7 @@ func TestGolden(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Errorf("stacklogic %s differs from testdata/%s.golden:\ngot:\n%s\nwant:\n%s",
-					strings.Join(tc.args, " "), tc.name, got, want)
+					strings.Join(tc.args, " "), golden, got, want)
 			}
 		})
 	}
