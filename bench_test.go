@@ -16,8 +16,10 @@ import (
 	"testing"
 
 	"diestack/internal/core"
+	"diestack/internal/fault"
 	"diestack/internal/memhier"
 	"diestack/internal/thermal"
+	"diestack/internal/workload"
 )
 
 // printOnce gates table output to the first benchmark iteration.
@@ -104,7 +106,7 @@ func BenchmarkFigure3ThermalSensitivity(b *testing.B) {
 // (Figure 5), at reference workload scale.
 func BenchmarkFigure5MemoryStacking(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunFigure5(context.Background(), core.RunSpec{Seed: 1, Scale: 1.0})
+		res, err := core.RunFigure5(context.Background(), core.RunSpec{Seed: 1, Scale: 1.0}, workload.All(), fault.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -15,18 +15,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"text/tabwriter"
 
 	"diestack/internal/core"
 	"diestack/internal/harness"
-	"diestack/internal/power"
-	"diestack/internal/wire"
 )
-
-// cli holds the shared flag group (-solver, profiling, -metrics-out,
-// -progress); fatal needs it to flush metrics on error exits.
-var cli *core.CLIFlags
 
 func main() {
 	var (
@@ -40,82 +33,57 @@ func main() {
 		timeout   = flag.Duration("timeout", 0, "deadline for the whole run (0 = none)")
 		jobs      = flag.Int("jobs", 1, "solve the Figure 11 bars on this many parallel workers")
 	)
-	cli = core.RegisterCLIFlags(flag.CommandLine, true)
+	cli := core.RegisterCLIFlags(flag.CommandLine, "stacklogic", true)
 	flag.Parse()
 
 	if *insts <= 0 {
-		fatal(fmt.Errorf("-n must be positive, got %d", *insts))
-	}
-	if *grid < 0 {
-		fatal(fmt.Errorf("-grid must be non-negative, got %d", *grid))
+		cli.Fatal(fmt.Errorf("-n must be positive, got %d", *insts))
 	}
 	if *jobs <= 0 {
-		fatal(fmt.Errorf("-jobs must be positive, got %d", *jobs))
+		cli.Fatal(fmt.Errorf("-jobs must be positive, got %d", *jobs))
 	}
 	if err := cli.Start(); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	defer cli.Stop()
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
 	spec := core.RunSpec{Seed: *seed, Grid: *grid, Method: cli.Method(), Obs: cli.Obs()}
+	if err := spec.Validate(); err != nil {
+		cli.Fatal(err)
+	}
+	ctx, stop := cli.Context(context.Background(), *timeout)
+	defer stop()
+
 	if *autoOnly {
 		if err := printAutoFold(ctx, spec); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		return
 	}
 	all := !*t4Only && !*t5Only && !*thermOnly
 	if *t4Only || all {
 		if err := printTable4(ctx, spec, *insts); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 	}
 	if *thermOnly || all {
 		fmt.Println()
 		if err := printFigure11(ctx, spec, *jobs); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 	}
 	if *t5Only || all {
 		fmt.Println()
 		if err := printTable5(ctx, spec); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 	}
 }
 
-// experiment dispatches one catalog experiment and returns its raw
-// result value; every stacklogic mode goes through this single entry
-// point.
-func experiment(ctx context.Context, spec core.RunSpec, name string, params any) (any, error) {
-	res, err := core.RunExperiment(ctx, name, core.ExperimentRequest{Spec: spec, Params: params})
-	if err != nil {
-		return nil, err
-	}
-	return res.Value, nil
-}
-
-func fatal(err error) {
-	if cli != nil {
-		cli.Stop()
-	}
-	fmt.Fprintln(os.Stderr, "stacklogic:", err)
-	os.Exit(1)
-}
-
 func printTable4(ctx context.Context, spec core.RunSpec, n int) error {
-	v, err := experiment(ctx, spec, "table4", &core.Table4Params{Instructions: n})
+	t4, err := core.RunTable4(ctx, spec, n)
 	if err != nil {
 		return err
 	}
-	t4 := v.(core.Table4Result)
 	fmt.Println("Table 4 — Logic+Logic 3D stacking performance improvement:")
 	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(w, "functionality\tstages eliminated\tpaper\tperf gain\tpaper")
@@ -132,20 +100,19 @@ func printTable4(ctx context.Context, spec core.RunSpec, n int) error {
 		return err
 	}
 
-	v, err = experiment(ctx, spec, "wire-derivation", nil)
+	paths, err := core.RunWireDerivation(ctx, spec)
 	if err != nil {
 		return err
 	}
 	fmt.Println("\nWire-derived stage counts (repeated-wire RC model on the two floorplans):")
-	for _, p := range v.([]core.WirePath) {
+	for _, p := range paths {
 		fmt.Printf("  %-14s planar %d stage(s) -> 3D %d\n", p.Path, p.PlanarStages, p.FoldedStages)
 	}
 
-	v, err = experiment(ctx, spec, "power-derivation", nil)
+	saving, err := core.RunPowerDerivation(ctx, spec)
 	if err != nil {
 		return err
 	}
-	saving := v.(wire.SavingReport)
 	fmt.Printf("\nWire-derived power saving: planar interconnect %.1f W -> 3D %.1f W: %.1f W saved = %.1f%% of %d W (paper asserts 15%%)\n",
 		saving.Planar.TotalW(), saving.Folded.TotalW(), saving.SavedW, saving.SavingPctOfTotal, 147)
 	return nil
@@ -157,10 +124,7 @@ func printFigure11(ctx context.Context, spec core.RunSpec, jobs int) error {
 	if jobs > 1 {
 		rows, err = runFigure11Parallel(ctx, spec, jobs)
 	} else {
-		var v any
-		if v, err = experiment(ctx, spec, "fig11", nil); err == nil {
-			rows = v.([]core.LogicThermal)
-		}
+		rows, err = core.RunFigure11(ctx, spec)
 	}
 	if err != nil {
 		return err
@@ -177,39 +141,38 @@ func printFigure11(ctx context.Context, spec core.RunSpec, jobs int) error {
 }
 
 // runFigure11Parallel solves the three Figure 11 bars as supervised
-// harness jobs and reassembles them in paper order.
+// harness jobs, each filling its own slot of the paper-order result.
 func runFigure11Parallel(ctx context.Context, spec core.RunSpec, jobs int) ([]core.LogicThermal, error) {
-	var hjobs []harness.Job
-	for _, o := range core.LogicOptions() {
-		o := o
-		hjobs = append(hjobs, harness.Job{
+	opts := core.LogicOptions()
+	rows := make([]core.LogicThermal, len(opts))
+	hjobs := make([]harness.Job, len(opts))
+	for i, o := range opts {
+		hjobs[i] = harness.Job{
 			Name: o.String(),
 			Run: func(ctx context.Context) (any, error) {
-				return experiment(ctx, spec, "logic-thermal", &core.LogicThermalParams{Variant: o.Slug()})
+				var err error
+				rows[i], err = core.RunLogicThermal(ctx, spec, o)
+				return nil, err
 			},
-		})
+		}
 	}
 	m, err := harness.Run(ctx, harness.Config{Workers: jobs, Obs: spec.Obs}, hjobs)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]core.LogicThermal, 0, len(hjobs))
-	for _, o := range core.LogicOptions() {
-		r, _ := m.Result(o.String())
-		if r.Status != harness.StatusOK {
+	for _, o := range opts {
+		if r, _ := m.Result(o.String()); r.Status != harness.StatusOK {
 			return nil, fmt.Errorf("solve for %s %s: %s", o, r.Status, r.Error)
 		}
-		rows = append(rows, r.Value.(core.LogicThermal))
 	}
 	return rows, nil
 }
 
 func printTable5(ctx context.Context, spec core.RunSpec) error {
-	v, err := experiment(ctx, spec, "table5", nil)
+	rows, err := core.RunTable5(ctx, spec)
 	if err != nil {
 		return err
 	}
-	rows := v.([]power.Point)
 	fmt.Println("Table 5 — frequency and voltage scaling of the 3D floorplan:")
 	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
 	fmt.Fprintln(w, "scenario\tpower W\tpower %\tperf %\tVcc\tfreq")
@@ -221,11 +184,10 @@ func printTable5(ctx context.Context, spec core.RunSpec) error {
 }
 
 func printAutoFold(ctx context.Context, spec core.RunSpec) error {
-	v, err := experiment(ctx, spec, "autofold", nil)
+	cmp, err := core.RunAutoFold(ctx, spec)
 	if err != nil {
 		return err
 	}
-	cmp := v.(core.AutoFoldComparison)
 	fmt.Println("Automatic place-observe-repair fold vs the hand-crafted Figure 10 fold:")
 	fmt.Printf("  critical wire: planar %.2f mm, hand fold %.2f mm, auto fold %.2f mm\n",
 		cmp.PlanarWire*1e3, cmp.HandWire*1e3, cmp.AutoWire*1e3)

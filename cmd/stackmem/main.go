@@ -42,12 +42,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"text/tabwriter"
 	"time"
 
@@ -63,7 +60,7 @@ import (
 )
 
 // cli holds the shared flag group (-solver, profiling, -metrics-out,
-// -progress); fatal needs it to flush metrics on error exits.
+// -progress) and the exit path that flushes it.
 var cli *core.CLIFlags
 
 func main() {
@@ -106,99 +103,95 @@ func main() {
 		chaosPartition = flag.Float64("chaos-partition", 0, "injected one-way partitions per thousand socket ops (serve/worker mode)")
 		chaosLatency   = flag.Duration("chaos-latency", 0, "max injected per-op latency (serve/worker mode; 0 = none)")
 	)
-	cli = core.RegisterCLIFlags(flag.CommandLine, true)
+	cli = core.RegisterCLIFlags(flag.CommandLine, "stackmem", true)
 	flag.Parse()
 
-	if *scale <= 0 || math.IsNaN(*scale) || math.IsInf(*scale, 0) {
-		fatal(fmt.Errorf("-scale must be positive and finite, got %v", *scale))
-	}
-	if *grid < 0 {
-		fatal(fmt.Errorf("-grid must be non-negative, got %d", *grid))
+	if *scale == 0 {
+		cli.Fatal(fmt.Errorf("-scale must be positive, got 0"))
 	}
 	if *jobs < 0 {
-		fatal(fmt.Errorf("-jobs must be non-negative, got %d", *jobs))
+		cli.Fatal(fmt.Errorf("-jobs must be non-negative, got %d", *jobs))
 	}
 	if *retries < 0 {
-		fatal(fmt.Errorf("-retries must be non-negative, got %d", *retries))
+		cli.Fatal(fmt.Errorf("-retries must be non-negative, got %d", *retries))
 	}
 	if *ckptEvery <= 0 {
-		fatal(fmt.Errorf("-checkpoint-every must be positive, got %d", *ckptEvery))
+		cli.Fatal(fmt.Errorf("-checkpoint-every must be positive, got %d", *ckptEvery))
 	}
 	if *serveAddr != "" && *workerAddr != "" {
-		fatal(fmt.Errorf("-serve and -worker are mutually exclusive"))
+		cli.Fatal(fmt.Errorf("-serve and -worker are mutually exclusive"))
 	}
 	if (*serveAddr != "" || *workerAddr != "") && !*campaign {
-		fatal(fmt.Errorf("-serve and -worker require -campaign"))
+		cli.Fatal(fmt.Errorf("-serve and -worker require -campaign"))
 	}
 	if *workerName != "" && *workerAddr == "" {
-		fatal(fmt.Errorf("-worker-name only applies to -worker mode"))
+		cli.Fatal(fmt.Errorf("-worker-name only applies to -worker mode"))
 	}
 	if *leaseTTL <= 0 {
-		fatal(fmt.Errorf("-lease-ttl must be positive, got %v", *leaseTTL))
+		cli.Fatal(fmt.Errorf("-lease-ttl must be positive, got %v", *leaseTTL))
 	}
 	if *leaseBdgt < 0 {
-		fatal(fmt.Errorf("-lease-budget must be non-negative, got %d", *leaseBdgt))
+		cli.Fatal(fmt.Errorf("-lease-budget must be non-negative, got %d", *leaseBdgt))
 	}
 	flag.Visit(func(f *flag.Flag) {
 		if (f.Name == "lease-ttl" || f.Name == "lease-budget" || f.Name == "drain-timeout") && *serveAddr == "" {
-			fatal(fmt.Errorf("-%s only applies to -serve mode", f.Name))
+			cli.Fatal(fmt.Errorf("-%s only applies to -serve mode", f.Name))
 		}
 		if strings.HasPrefix(f.Name, "chaos-") && *serveAddr == "" && *workerAddr == "" {
-			fatal(fmt.Errorf("-%s only applies to -serve or -worker mode", f.Name))
+			cli.Fatal(fmt.Errorf("-%s only applies to -serve or -worker mode", f.Name))
 		}
 	})
 	if *drainTO < 0 {
-		fatal(fmt.Errorf("-drain-timeout must be non-negative, got %v", *drainTO))
+		cli.Fatal(fmt.Errorf("-drain-timeout must be non-negative, got %v", *drainTO))
 	}
 	fc, err := faultConfig(*faultSeed, *faultCorr, *faultUncorr, *faultBanks, *faultTSV)
 	if err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	if err := cli.Start(); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	defer cli.Stop()
-	injector, err := chaosInjector(*chaosSeed, *chaosDrop, *chaosPartial, *chaosPartition, *chaosLatency)
-	if err != nil {
-		fatal(err)
-	}
-
-	// Interrupts and SIGTERM cancel the run cooperatively: replays and
-	// solves observe the context and stop at the next check, leaving
-	// any checkpoint file intact for -resume; a serving coordinator
-	// drains gracefully and leaves its journal resumable.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if *timeout > 0 && !*campaign {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
 	spec := core.RunSpec{Seed: *seed, Scale: *scale, Grid: *grid,
 		Method: cli.Method(), Obs: cli.Obs()}
+	if err := spec.Validate(); err != nil {
+		cli.Fatal(err)
+	}
+	injector, err := chaosInjector(*chaosSeed, *chaosDrop, *chaosPartial, *chaosPartition, *chaosLatency)
+	if err != nil {
+		cli.Fatal(err)
+	}
+
+	// A serving coordinator also drains on cancellation and leaves its
+	// journal resumable. Campaign mode applies -timeout per job attempt.
+	runTimeout := *timeout
+	if *campaign {
+		runTimeout = 0
+	}
+	ctx, stop := cli.Context(context.Background(), runTimeout)
+	defer stop()
 
 	switch {
 	case *campaign && *serveAddr != "":
 		if err := runCampaignServe(ctx, spec, *bench, *serveAddr, *leaseTTL, *leaseBdgt, *drainTO, *manifest, injector); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 	case *campaign && *workerAddr != "":
 		if err := runCampaignWorker(ctx, *workerAddr, *workerName, *jobs, *retries, *timeout, *manifest, injector); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 	case *campaign:
 		if err := runCampaign(ctx, spec, *bench, *jobs, *retries, *timeout, *manifest); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 	case *ckptPath != "":
 		if err := runCheckpointed(ctx, spec, *bench, *traceFile, *capacity, fc,
 			*ckptPath, *ckptEvery, *resumeFlag); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 	case *traceFile != "":
 		if err := replayFile(ctx, spec, *traceFile, fc); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 	case *showConfig:
 		printConfig()
@@ -206,22 +199,22 @@ func main() {
 		printPower()
 	case *thermOnly:
 		if err := printThermal(ctx, spec); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		if *pngOut != "" {
 			if err := writeThermalMap(ctx, spec, *pngOut); err != nil {
-				fatal(err)
+				cli.Fatal(err)
 			}
 		}
 	default:
 		if err := runPerf(ctx, spec, *bench, fc); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		fmt.Println()
 		printPower()
 		fmt.Println()
 		if err := printThermal(ctx, spec); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 	}
 }
@@ -252,8 +245,7 @@ func runCampaign(ctx context.Context, rs core.RunSpec, bench string,
 		return err
 	}
 	if m.OK != len(m.Jobs) {
-		cli.Stop()
-		os.Exit(1)
+		cli.Exit(1)
 	}
 	return nil
 }
@@ -320,8 +312,7 @@ func runCampaignServe(ctx context.Context, rs core.RunSpec, bench, addr string,
 		fmt.Fprintln(os.Stderr, "campaign:", integrity)
 	}
 	if integrity != nil || m.OK != len(m.Jobs) {
-		cli.Stop()
-		os.Exit(1)
+		cli.Exit(1)
 	}
 	return nil
 }
@@ -426,13 +417,13 @@ func writeManifest(m *harness.Manifest, path string) error {
 // the result of an uninterrupted one.
 func runCheckpointed(ctx context.Context, rs core.RunSpec, bench, traceFile string, capacityMB int,
 	fc fault.Config, path string, every int, resume bool) error {
-	cfg, ok := memhier.ConfigByCapacity(capacityMB)
-	if !ok {
+	o, err := core.MemoryOptionForCapacity(capacityMB)
+	if capacityMB == 0 || err != nil {
 		return fmt.Errorf("-capacity must be 4, 12, 32 or 64, got %d", capacityMB)
 	}
-	cfg.Faults = fc
 
 	var stream trace.Stream
+	name := traceFile
 	switch {
 	case traceFile != "":
 		data, err := os.ReadFile(traceFile)
@@ -446,6 +437,7 @@ func runCheckpointed(ctx context.Context, rs core.RunSpec, bench, traceFile stri
 			return fmt.Errorf("unknown benchmark %q (have %v)", bench, workload.Names())
 		}
 		stream = trace.NewSliceStream(b.Generate(rs.Seed, rs.Scale))
+		name = bench
 	default:
 		return fmt.Errorf("-checkpoint needs -bench or -trace")
 	}
@@ -459,11 +451,7 @@ func runCheckpointed(ctx context.Context, rs core.RunSpec, bench, traceFile stri
 		opt.Resume = cp
 		fmt.Fprintf(os.Stderr, "resuming from %s at record %d\n", path, cp.Records)
 	}
-	sim, err := memhier.New(cfg)
-	if err != nil {
-		return err
-	}
-	res, err := sim.Run(ctx, stream, opt)
+	res, err := core.ReplayMemory(ctx, o, name, stream, fc, opt)
 	if err != nil {
 		return err
 	}
@@ -495,26 +483,6 @@ func faultConfig(seed uint64, corr, uncorr float64, deadBanks string, tsv float6
 	return fc, nil
 }
 
-func fatal(err error) {
-	if cli != nil {
-		cli.Stop()
-	}
-	fmt.Fprintln(os.Stderr, "stackmem:", err)
-	os.Exit(1)
-}
-
-// experiment dispatches one catalog experiment and returns its raw
-// result value; the perf and thermal modes go through this single
-// entry point (the campaign modes dispatch via core.CampaignJobs,
-// which uses the same catalog).
-func experiment(ctx context.Context, spec core.RunSpec, name string, params any) (any, error) {
-	res, err := core.RunExperiment(ctx, name, core.ExperimentRequest{Spec: spec, Params: params})
-	if err != nil {
-		return nil, err
-	}
-	return res.Value, nil
-}
-
 // replayFile runs a tracegen-produced binary trace through all four
 // configurations.
 func replayFile(ctx context.Context, rs core.RunSpec, path string, fc fault.Config) error {
@@ -530,16 +498,8 @@ func replayFile(ctx context.Context, rs core.RunSpec, path string, fc fault.Conf
 	}
 	fmt.Fprintln(w, header)
 	for _, o := range core.MemoryOptions() {
-		cfg, err := o.HierarchyConfig()
-		if err != nil {
-			return err
-		}
-		cfg.Faults = fc
-		sim, err := memhier.New(cfg)
-		if err != nil {
-			return err
-		}
-		res, err := sim.Run(ctx, trace.NewReader(bytes.NewReader(data)), memhier.RunOptions{Obs: rs.Obs})
+		res, err := core.ReplayMemory(ctx, o, path, trace.NewReader(bytes.NewReader(data)), fc,
+			memhier.RunOptions{Obs: rs.Obs})
 		if err != nil {
 			return err
 		}
@@ -559,7 +519,7 @@ func printConfig() {
 	for _, o := range core.MemoryOptions() {
 		cfg, err := o.HierarchyConfig()
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		fmt.Printf("  %-8s L2 %2d MB (%s), line %dB, %d-way, tag latency %d cyc\n",
 			o, o.CapacityMB(), cfg.L2Type, cfg.L2.LineBytes, cfg.L2.Ways, cfg.L2.Latency)
@@ -576,15 +536,13 @@ func printConfig() {
 }
 
 func runPerf(ctx context.Context, rs core.RunSpec, bench string, fc fault.Config) error {
-	var benches []workload.Benchmark
+	benches := workload.All()
 	if bench != "" {
 		b, ok := workload.ByName(bench)
 		if !ok {
 			return fmt.Errorf("unknown benchmark %q (have %v)", bench, workload.Names())
 		}
 		benches = []workload.Benchmark{b}
-	} else {
-		benches = workload.All()
 	}
 
 	fmt.Printf("Figure 5 — CPMA and off-die bandwidth, scale %.2f:\n", rs.Scale)
@@ -593,27 +551,22 @@ func runPerf(ctx context.Context, rs core.RunSpec, bench string, fc fault.Config
 			fc.Seed, fc.CorrectablePerMAccess, fc.UncorrectablePerMAccess,
 			len(fc.DeadBanks), fc.TSVFailFrac*100)
 	}
+	fig5, err := core.RunFigure5(ctx, rs, benches, fc)
+	if err != nil {
+		return err
+	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
 	header := "benchmark\tcapacity\tCPMA\tBW GB/s\tbus W\ttraffic MB"
 	if fc.Enabled() {
 		header += "\tECC fix\tpoisoned\tunrec\tremapped"
 	}
 	fmt.Fprintln(w, header)
-	fig5 := &core.Figure5Result{Options: core.MemoryOptions()}
-	faults := core.FaultParamsFor(fc)
 	var faultTotal fault.Stats
 	var remapTotal uint64
-	for _, b := range benches {
-		var row []core.MemoryPerf
-		for _, o := range fig5.Options {
-			v, err := experiment(ctx, rs, "memory-perf",
-				&core.MemoryPerfParams{CapacityMB: o.CapacityMB(), Benchmark: b.Name, Faults: faults})
-			if err != nil {
-				return err
-			}
-			p := v.(core.MemoryPerf)
+	for _, row := range fig5.Rows {
+		for _, p := range row {
 			fmt.Fprintf(w, "%s\t%s\t%.3f\t%.2f\t%.3f\t%.1f",
-				b.Name, o, p.CPMA, p.BandwidthGBs, p.BusPowerW, float64(p.OffDieBytes)/(1<<20))
+				p.Benchmark, p.Option, p.CPMA, p.BandwidthGBs, p.BusPowerW, float64(p.OffDieBytes)/(1<<20))
 			if fc.Enabled() {
 				fmt.Fprintf(w, "\t%d\t%d\t%d\t%d",
 					p.Faults.Corrected, p.Faults.LinesPoisoned, p.Faults.Unrecovered, p.DRAMRemapped)
@@ -621,10 +574,7 @@ func runPerf(ctx context.Context, rs core.RunSpec, bench string, fc fault.Config
 				remapTotal += p.DRAMRemapped
 			}
 			fmt.Fprintln(w)
-			row = append(row, p)
 		}
-		fig5.Benchmarks = append(fig5.Benchmarks, b.Name)
-		fig5.Rows = append(fig5.Rows, row)
 	}
 	if err := w.Flush(); err != nil {
 		return err
@@ -648,7 +598,7 @@ func printPower() {
 	for _, o := range core.MemoryOptions() {
 		fp, err := o.Floorplan()
 		if err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		if fp.Dies == 1 {
 			fmt.Printf("  %-8s %6.1f W (planar die)\n", o, fp.TotalPower())
@@ -661,12 +611,10 @@ func printPower() {
 
 // writeThermalMap renders Figure 8(b): the 32MB stack's thermal map.
 func writeThermalMap(ctx context.Context, rs core.RunSpec, path string) error {
-	v, err := experiment(ctx, rs, "memory-thermal-map",
-		&core.MemoryThermalParams{CapacityMB: core.Stacked32MB.CapacityMB()})
+	m, err := core.RunMemoryThermalMap(ctx, rs, core.Stacked32MB)
 	if err != nil {
 		return err
 	}
-	m := v.([][]float64)
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -681,11 +629,10 @@ func writeThermalMap(ctx context.Context, rs core.RunSpec, path string) error {
 
 func printThermal(ctx context.Context, rs core.RunSpec) error {
 	fmt.Println("Peak temperatures (Figure 8a):")
-	v, err := experiment(ctx, rs, "fig8", nil)
+	rows, err := core.RunFigure8(ctx, rs)
 	if err != nil {
 		return err
 	}
-	rows := v.([]core.MemoryThermal)
 	paper := map[core.MemoryOption]float64{
 		core.Planar4MB: 88.35, core.Stacked12MB: 92.85,
 		core.Stacked32MB: 88.43, core.Stacked64MB: 90.27,

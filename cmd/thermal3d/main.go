@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"os/signal"
 
 	"diestack/internal/core"
 	"diestack/internal/dtm"
@@ -33,7 +32,7 @@ import (
 )
 
 // cli holds the shared flag group (-solver, profiling, -metrics-out,
-// -progress); fatal needs it to flush metrics on error exits.
+// -progress) and the exit path that flushes it.
 var cli *core.CLIFlags
 
 func main() {
@@ -57,28 +56,23 @@ func main() {
 		sensorStuck  = flag.Float64("sensor-stuck", math.NaN(), "sensor fault: stuck-at reading in degC")
 		faultSeed    = flag.Uint64("fault-seed", 0, "sensor fault schedule seed")
 	)
-	cli = core.RegisterCLIFlags(flag.CommandLine, true)
+	cli = core.RegisterCLIFlags(flag.CommandLine, "thermal3d", true)
 	flag.Parse()
 
-	if *grid < 0 {
-		fatal(fmt.Errorf("-grid must be non-negative, got %d", *grid))
-	}
 	if err := cli.Start(); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	defer cli.Stop()
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
 	spec := core.RunSpec{Grid: *grid, Method: cli.Method(), Obs: cli.Obs()}
+	if err := spec.Validate(); err != nil {
+		cli.Fatal(err)
+	}
+	ctx, stop := cli.Context(context.Background(), *timeout)
+	defer stop()
 	if *dtmOn {
 		if err := runDTM(ctx, spec, *tmax, *dtmHyst, *dtmDt, *dtmSteps, *dtmMinFreq,
 			*sensorNoise, *sensorOffset, *sensorStuck, *faultSeed); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 		return
 	}
@@ -90,13 +84,13 @@ func main() {
 	if *baseOnly || all {
 		fmt.Println()
 		if err := printBaseline(ctx, spec, *pngOut); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 	}
 	if *sweepOnly || all {
 		fmt.Println()
 		if err := printSweep(ctx, spec); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 	}
 }
@@ -123,17 +117,12 @@ func runDTM(ctx context.Context, spec core.RunSpec, tmax, hyst, dt float64, step
 		return fmt.Errorf("sensor flags: %w", err)
 	}
 
-	params := &core.ManagedThermalParams{
-		Variant: core.Logic3D.Slug(), TmaxC: tmax, HysteresisC: hyst,
-		MinFreq: minFreq, DtSeconds: dt, Steps: steps, Faults: core.FaultParamsFor(fc),
-	}
-	out, err := core.RunExperiment(ctx, "managed-logic-thermal",
-		core.ExperimentRequest{Spec: spec, Params: params})
+	res, err := core.RunManagedLogicThermal(ctx, spec, core.Logic3D, cfg, fc,
+		thermal.TransientOptions{Dt: dt, Steps: steps, Method: spec.Method})
 	if err != nil && !errors.Is(err, dtm.ErrThermalRunaway) {
 		return err
 	}
-	// On runaway the catalog still carries the partial trajectory.
-	res := out.Value.(core.ManagedLogicThermal)
+	// On runaway res still carries the partial trajectory.
 
 	fmt.Printf("DTM on the 3D logic stack (Tmax %.1f degC, %d samples at %.2fs):\n", tmax, steps, dt)
 	fmt.Printf("  unmanaged steady peak  %7.2f degC\n", res.UnmanagedPeakC)
@@ -153,38 +142,17 @@ func runDTM(ctx context.Context, spec core.RunSpec, tmax, hyst, dt float64, step
 	switch {
 	case err != nil:
 		fmt.Printf("  VERDICT: %v\n", err)
-		cli.Stop()
-		os.Exit(1)
+		cli.Exit(1)
 	case res.DTM.ManagedPeakC > tmax:
 		// No runaway, but sampling let the peak slip past the ceiling
 		// between interventions.
 		fmt.Printf("  VERDICT: Tmax exceeded transiently by %.2f degC — widen -dtm-hyst or shrink -dtm-dt\n",
 			res.DTM.ManagedPeakC-tmax)
-		cli.Stop()
-		os.Exit(1)
+		cli.Exit(1)
 	default:
 		fmt.Println("  VERDICT: Tmax held")
 	}
 	return nil
-}
-
-func fatal(err error) {
-	if cli != nil {
-		cli.Stop()
-	}
-	fmt.Fprintln(os.Stderr, "thermal3d:", err)
-	os.Exit(1)
-}
-
-// experiment dispatches one catalog experiment and returns its raw
-// result value; every thermal3d mode goes through this single entry
-// point.
-func experiment(ctx context.Context, spec core.RunSpec, name string, params any) (any, error) {
-	res, err := core.RunExperiment(ctx, name, core.ExperimentRequest{Spec: spec, Params: params})
-	if err != nil {
-		return nil, err
-	}
-	return res.Value, nil
 }
 
 func printMaterials() {
@@ -212,12 +180,10 @@ func printMaterials() {
 // printBaseline solves the planar reference and renders the Figure 6
 // temperature map as ASCII shading.
 func printBaseline(ctx context.Context, spec core.RunSpec, pngOut string) error {
-	v, err := experiment(ctx, spec, "fig6", nil)
+	pd, tm, err := core.Figure6Maps(ctx, spec)
 	if err != nil {
 		return err
 	}
-	maps := v.(core.Figure6Result)
-	pd, tm := maps.PowerDensity, maps.Temperature
 	if pngOut != "" {
 		f, err := os.Create(pngOut)
 		if err != nil {
@@ -267,15 +233,10 @@ func printBaseline(ctx context.Context, spec core.RunSpec, pngOut string) error 
 func printSweep(ctx context.Context, spec core.RunSpec) error {
 	fmt.Println("Figure 3 — peak temperature vs layer conductivity (stacked microprocessor):")
 	for _, layer := range []core.SweepLayer{core.SweepCuMetal, core.SweepBond} {
-		slug := "cu-metal"
-		if layer == core.SweepBond {
-			slug = "bond"
-		}
-		v, err := experiment(ctx, spec, "fig3", &core.Fig3Params{Layer: slug})
+		pts, err := core.RunFigure3(ctx, spec, layer, nil)
 		if err != nil {
 			return err
 		}
-		pts := v.([]core.SensitivityPoint)
 		fmt.Printf("  %s:\n", layer)
 		for _, p := range pts {
 			fmt.Printf("    k=%5.1f W/mK  peak %.2f degC\n", p.ConductivityWmK, p.PeakC)

@@ -14,16 +14,11 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"os/signal"
 
 	"diestack/internal/core"
 	"diestack/internal/trace"
 	"diestack/internal/workload"
 )
-
-// cli holds the shared flag group (profiling, -metrics-out,
-// -progress); fatal needs it to flush metrics on error exits.
-var cli *core.CLIFlags
 
 func main() {
 	var (
@@ -35,24 +30,19 @@ func main() {
 		inspect = flag.String("inspect", "", "summarize an existing trace file and exit")
 		timeout = flag.Duration("timeout", 0, "deadline for reading/validating traces (0 = none)")
 	)
-	cli = core.RegisterCLIFlags(flag.CommandLine, false)
+	cli := core.RegisterCLIFlags(flag.CommandLine, "tracegen", false)
 	flag.Parse()
 
 	if *scale <= 0 || math.IsNaN(*scale) || math.IsInf(*scale, 0) {
-		fatal(fmt.Errorf("-scale must be positive and finite, got %v", *scale))
+		cli.Fatal(fmt.Errorf("-scale must be positive and finite, got %v", *scale))
 	}
 	if err := cli.Start(); err != nil {
-		fatal(err)
+		cli.Fatal(err)
 	}
 	defer cli.Stop()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := cli.Context(context.Background(), *timeout)
 	defer stop()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
 	switch {
 	case *list:
 		for _, b := range workload.All() {
@@ -64,25 +54,16 @@ func main() {
 		}
 	case *inspect != "":
 		if err := inspectFile(ctx, *inspect); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 	case *bench != "":
 		if err := generate(*bench, *out, *seed, *scale); err != nil {
-			fatal(err)
+			cli.Fatal(err)
 		}
 	default:
 		flag.Usage()
-		cli.Stop()
-		os.Exit(2)
+		cli.Exit(2)
 	}
-}
-
-func fatal(err error) {
-	if cli != nil {
-		cli.Stop()
-	}
-	fmt.Fprintln(os.Stderr, "tracegen:", err)
-	os.Exit(1)
 }
 
 func generate(name, out string, seed uint64, scale float64) error {

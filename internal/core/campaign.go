@@ -36,9 +36,9 @@ type CampaignSpec struct {
 // option named "fig11/logic/<variant>". Job names are stable so
 // manifests from identical specs are comparable.
 func CampaignJobs(spec CampaignSpec) ([]harness.Job, error) {
-	if err := spec.Method.Validate(); err != nil {
-		// Fail the whole campaign up front rather than every thermal job
-		// individually, with the solver's own typed error.
+	if err := spec.Validate(); err != nil {
+		// Fail the whole campaign up front rather than every job
+		// individually.
 		return nil, err
 	}
 	benches := workload.All()
@@ -55,9 +55,9 @@ func CampaignJobs(spec CampaignSpec) ([]harness.Job, error) {
 	}
 
 	// Every job dispatches through the experiment catalog — the same
-	// entry-point surface the CLIs and the stackd service use — and
-	// unwraps the result value so manifests stay byte-identical to the
-	// direct-call era.
+	// entry-point surface the stackd service uses — and unwraps the
+	// result value so manifests stay byte-identical to the direct-call
+	// era.
 	catalogJob := func(name, experiment string, params any) harness.Job {
 		exp := mustExperiment(experiment)
 		return harness.Job{
@@ -125,7 +125,7 @@ type wireSpec struct {
 // campaign. Encoding is deterministic (fixed field order), so equal
 // specs encode to equal bytes.
 func (spec CampaignSpec) EncodeWire() (json.RawMessage, error) {
-	if err := spec.Method.Validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	rs := specWireFrom(spec.RunSpec)
@@ -158,10 +158,6 @@ func DecodeWireSpec(raw json.RawMessage) (CampaignSpec, error) {
 	}
 	return CampaignSpec{RunSpec: rs, Benchmarks: w.Benchmarks, SkipThermal: w.SkipThermal}, nil
 }
-
-// Slug returns the option's job-name/wire spelling (planar, 3d,
-// 3d-worstcase) — the inverse of LogicOptionForSlug.
-func (o LogicOption) Slug() string { return logicSlug(o) }
 
 // logicSlug names a logic option in job-name form.
 func logicSlug(o LogicOption) string {

@@ -17,10 +17,12 @@ import (
 )
 
 // This file is the experiment catalog: every paper figure, table, and
-// extension registered under one uniform entry point. The CLIs, the
-// campaign expansion, and the stackd service all dispatch through it,
-// so "which experiments exist and what do they take" has exactly one
-// answer. Each experiment also defines a canonical wire form
+// extension registered under one uniform entry point. The campaign
+// expansion, the distributed workers and the stackd service dispatch
+// through it, so "which experiments exist and what do they take" has
+// exactly one answer; each runner is a one-line call of a typed Run*
+// function, which the CLIs call directly (TestCatalogMatchesDirectCall
+// pins the two paths equal). Each experiment also defines a canonical wire form
 // (EncodeRequest/DecodeRequest) whose SHA-256 is the service's cache
 // key: semantically equal requests — defaults spelled out or omitted —
 // encode to equal bytes.
@@ -154,7 +156,11 @@ func specFromWire(w specWire) (RunSpec, error) {
 	if err != nil {
 		return RunSpec{}, err
 	}
-	return RunSpec{Seed: w.Seed, Scale: w.Scale, Grid: w.Grid, Method: m}, nil
+	spec := RunSpec{Seed: w.Seed, Scale: w.Scale, Grid: w.Grid, Method: m}
+	if err := spec.Validate(); err != nil {
+		return RunSpec{}, err
+	}
+	return spec, nil
 }
 
 // requestWire is the canonical body of an experiment invocation — what
@@ -173,7 +179,7 @@ type requestWire struct {
 // params" and "explicit defaults" encode to the same bytes). The
 // SHA-256 of these bytes is the request's cache key.
 func (e Experiment) EncodeRequest(req ExperimentRequest) ([]byte, error) {
-	if err := req.Spec.Method.Validate(); err != nil {
+	if err := req.Spec.Validate(); err != nil {
 		return nil, err
 	}
 	params, err := e.checkParams(req.Params)
@@ -291,26 +297,6 @@ type FaultParams struct {
 	SensorOffsetC     float64 `json:"sensor_offset_c,omitempty"`
 	SensorStuck       bool    `json:"sensor_stuck,omitempty"`
 	SensorStuckAtC    float64 `json:"sensor_stuck_at_c,omitempty"`
-}
-
-// FaultParamsFor spells fc's nine wire fields as catalog params, the
-// inverse of the projection the catalog runners apply; it returns nil
-// when fc injects nothing.
-func FaultParamsFor(fc fault.Config) *FaultParams {
-	if !fc.Enabled() {
-		return nil
-	}
-	return &FaultParams{
-		Seed:              fc.Seed,
-		CorrectablePerM:   fc.CorrectablePerMAccess,
-		UncorrectablePerM: fc.UncorrectablePerMAccess,
-		DeadBanks:         fc.DeadBanks,
-		TSVFailFrac:       fc.TSVFailFrac,
-		SensorNoiseC:      fc.SensorNoiseC,
-		SensorOffsetC:     fc.SensorOffsetC,
-		SensorStuck:       fc.SensorStuckAt,
-		SensorStuckAtC:    fc.SensorStuckAtC,
-	}
 }
 
 func (p *FaultParams) config() fault.Config {
@@ -458,7 +444,7 @@ func ExperimentByName(name string) (Experiment, bool) {
 }
 
 // RunExperiment dispatches req to the named experiment — the uniform
-// entry point behind the CLIs, the campaign jobs, and stackd.
+// entry point behind the campaign jobs and stackd.
 func RunExperiment(ctx context.Context, name string, req ExperimentRequest) (ExperimentResult, error) {
 	e, ok := ExperimentByName(name)
 	if !ok {
@@ -502,7 +488,7 @@ func initCatalog() {
 			Doc:  "sweep every RMS benchmark over every memory configuration (Figure 5)",
 			fn:   []string{"RunFigure5"},
 			Runner: func(ctx context.Context, spec RunSpec, _ any) (any, error) {
-				return RunFigure5(ctx, spec)
+				return RunFigure5(ctx, spec, workload.All(), fault.Config{})
 			},
 		},
 		{

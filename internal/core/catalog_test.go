@@ -2,16 +2,20 @@ package core
 
 import (
 	"context"
+	"errors"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"diestack/internal/canon"
+	"diestack/internal/dtm"
 	"diestack/internal/fault"
 	"diestack/internal/thermal"
+	"diestack/internal/workload"
 )
 
 // TestCatalogCoversEveryRunFunction parses the package source and
@@ -203,6 +207,24 @@ func TestDecodeRequestRejects(t *testing.T) {
 	if _, err := e.DecodeRequest([]byte(`{"spec":{"method":"jacobi"}}`)); err == nil {
 		t.Error("unknown method accepted")
 	}
+	// Out-of-range specs are refused, not run as the default under a
+	// cache key of their own.
+	for _, body := range []string{
+		`{"spec":{"scale":-1},"params":{"benchmark":"gauss"}}`,
+		`{"spec":{"grid":-5}}`,
+	} {
+		if _, err := e.DecodeRequest([]byte(body)); !errors.Is(err, ErrSpecRange) {
+			t.Errorf("%s: got %v, want ErrSpecRange", body, err)
+		}
+	}
+	if _, err := DecodeWireSpec([]byte(`{"seed":1,"scale":-0.5,"grid":16}`)); !errors.Is(err, ErrSpecRange) {
+		t.Errorf("campaign spec with negative scale: got %v, want ErrSpecRange", err)
+	}
+	for _, spec := range []RunSpec{{Scale: math.NaN()}, {Scale: math.Inf(1)}, {Grid: -1}} {
+		if _, err := e.EncodeRequest(ExperimentRequest{Spec: spec}); !errors.Is(err, ErrSpecRange) {
+			t.Errorf("EncodeRequest(%+v): got %v, want ErrSpecRange", spec, err)
+		}
+	}
 	fig5, _ := ExperimentByName("fig5")
 	if _, err := fig5.DecodeRequest([]byte(`{"params":{"x":1}}`)); err == nil {
 		t.Error("params accepted by a parameterless experiment")
@@ -215,28 +237,67 @@ func TestDecodeRequestRejects(t *testing.T) {
 	}
 }
 
-// TestCatalogMatchesDirectCall pins the refactor's acceptance bar: the
-// catalog path returns the same values as calling the core function
-// directly.
+// TestCatalogMatchesDirectCall: every catalog entry a CLI bypasses
+// returns exactly what the typed core function returns, so a CLI run
+// and a stackd POST of the same spec compute the same result.
 func TestCatalogMatchesDirectCall(t *testing.T) {
 	ctx := context.Background()
-	spec := RunSpec{Grid: testGrid}
-	res, err := RunExperiment(ctx, "memory-thermal", ExperimentRequest{
-		Spec:   spec,
-		Params: &MemoryThermalParams{CapacityMB: 32},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := RunMemoryThermal(ctx, spec, Stacked32MB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Value, direct) {
-		t.Fatalf("catalog diverges from direct call:\ncatalog: %+v\ndirect:  %+v", res.Value, direct)
-	}
-	if res.Experiment != "memory-thermal" {
-		t.Errorf("result names %q", res.Experiment)
+	spec := RunSpec{Seed: 1, Scale: 0.05, Grid: 16}
+	sensor := fault.Config{Seed: 2, SensorNoiseC: 1}
+	for _, tc := range []struct {
+		name   string
+		params any
+		direct func() (any, error)
+	}{
+		{"memory-perf", &MemoryPerfParams{CapacityMB: 32, Benchmark: "gauss",
+			Faults: &FaultParams{Seed: 3, UncorrectablePerM: 100, DeadBanks: []int{0, 1}}},
+			func() (any, error) {
+				b, _ := workload.ByName("gauss")
+				return RunMemoryPerf(ctx, spec, Stacked32MB, b,
+					fault.Config{Seed: 3, UncorrectablePerMAccess: 100, DeadBanks: []int{0, 1}})
+			}},
+		{"fig5", nil, func() (any, error) { return RunFigure5(ctx, spec, workload.All(), fault.Config{}) }},
+		{"memory-thermal", &MemoryThermalParams{CapacityMB: 32},
+			func() (any, error) { return RunMemoryThermal(ctx, spec, Stacked32MB) }},
+		{"memory-thermal-map", &MemoryThermalParams{CapacityMB: 32},
+			func() (any, error) { return RunMemoryThermalMap(ctx, spec, Stacked32MB) }},
+		{"fig8", nil, func() (any, error) { return RunFigure8(ctx, spec) }},
+		{"fig6", nil, func() (any, error) {
+			pd, tm, err := Figure6Maps(ctx, spec)
+			return Figure6Result{PowerDensity: pd, Temperature: tm}, err
+		}},
+		{"fig3", &Fig3Params{Layer: "bond"},
+			func() (any, error) { return RunFigure3(ctx, spec, SweepBond, nil) }},
+		{"fig11", nil, func() (any, error) { return RunFigure11(ctx, spec) }},
+		{"table4", &Table4Params{Instructions: 2000},
+			func() (any, error) { return RunTable4(ctx, spec, 2000) }},
+		{"table5", nil, func() (any, error) { return RunTable5(ctx, spec) }},
+		{"wire-derivation", nil, func() (any, error) { return RunWireDerivation(ctx, spec) }},
+		{"power-derivation", nil, func() (any, error) { return RunPowerDerivation(ctx, spec) }},
+		{"autofold", nil, func() (any, error) { return RunAutoFold(ctx, spec) }},
+		{"managed-logic-thermal", &ManagedThermalParams{Variant: "3d", Steps: 8,
+			Faults: &FaultParams{Seed: 2, SensorNoiseC: 1}},
+			func() (any, error) {
+				return RunManagedLogicThermal(ctx, spec, Logic3D, dtm.Config{TmaxC: DefaultManagedTmaxC}, sensor,
+					thermal.TransientOptions{Dt: DefaultManagedDt, Steps: 8})
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := RunExperiment(ctx, tc.name, ExperimentRequest{Spec: spec, Params: tc.params})
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := tc.direct()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Value, direct) {
+				t.Fatalf("catalog diverges from direct call:\ncatalog: %+v\ndirect:  %+v", res.Value, direct)
+			}
+			if res.Experiment != tc.name {
+				t.Errorf("result names %q", res.Experiment)
+			}
+		})
 	}
 }
 
@@ -267,9 +328,9 @@ func TestCampaignWirePin(t *testing.T) {
 	}
 }
 
-// TestFaultParamsRoundTrip: FaultParamsFor inverts the params' fault
-// configuration across all nine wire fields, and spells a config that
-// injects nothing as no params at all.
+// TestFaultParamsRoundTrip: all nine fault fields survive a request's
+// canonical encoding, and the decoded params configure exactly the
+// fault.Config they spell; absent params configure the zero config.
 func TestFaultParamsRoundTrip(t *testing.T) {
 	p := &FaultParams{
 		Seed:              3,
@@ -288,15 +349,32 @@ func TestFaultParamsRoundTrip(t *testing.T) {
 			t.Fatalf("FaultParams.%s is zero; the round trip would not cover it", v.Type().Field(i).Name)
 		}
 	}
-	fc := p.config()
-	if got := FaultParamsFor(fc); !reflect.DeepEqual(got, p) {
-		t.Fatalf("round trip mutated the params:\nin:  %+v\nout: %+v", p, got)
+	e, _ := ExperimentByName("managed-logic-thermal")
+	raw, err := e.EncodeRequest(ExperimentRequest{Params: &ManagedThermalParams{Faults: p}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := FaultParamsFor(fc).config(); !reflect.DeepEqual(got, fc) {
-		t.Fatalf("round trip mutated the config:\nin:  %+v\nout: %+v", fc, got)
+	req, err := e.DecodeRequest(raw)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := FaultParamsFor(fault.Config{}); got != nil {
-		t.Fatalf("zero config spelled as %+v, want nil", got)
+	back := req.Params.(*ManagedThermalParams).Faults
+	if !reflect.DeepEqual(back, p) {
+		t.Fatalf("round trip mutated the params:\nin:  %+v\nout: %+v", p, back)
+	}
+	want := fault.Config{
+		Seed:                    3,
+		CorrectablePerMAccess:   10,
+		UncorrectablePerMAccess: 20,
+		DeadBanks:               []int{0, 5},
+		TSVFailFrac:             0.25,
+		SensorNoiseC:            1.5,
+		SensorOffsetC:           -2,
+		SensorStuckAt:           true,
+		SensorStuckAtC:          50,
+	}
+	if got := back.config(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("params configure %+v, want %+v", got, want)
 	}
 	if got := (*FaultParams)(nil).config(); !reflect.DeepEqual(got, fault.Config{}) {
 		t.Fatalf("nil params configure %+v, want the zero config", got)

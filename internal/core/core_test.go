@@ -77,7 +77,7 @@ func TestRunMemoryPerf(t *testing.T) {
 }
 
 func TestFigure5SmallScale(t *testing.T) {
-	res, err := RunFigure5(context.Background(), RunSpec{Seed: 1, Scale: 0.1})
+	res, err := RunFigure5(context.Background(), RunSpec{Seed: 1, Scale: 0.1}, workload.All(), fault.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestHeadlineClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reference-scale Figure 5 sweep is slow")
 	}
-	res, err := RunFigure5(context.Background(), RunSpec{Seed: 1, Scale: 1.0})
+	res, err := RunFigure5(context.Background(), RunSpec{Seed: 1, Scale: 1.0}, workload.All(), fault.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"sync"
+	"syscall"
 	"time"
 
 	"diestack/internal/obs"
@@ -14,14 +17,16 @@ import (
 
 // CLIFlags groups the knobs every cmd shares — the thermal solver
 // schedule, pprof output, and the observability sinks — so each binary
-// registers them once instead of redeclaring the same flags. Register
-// on the command's FlagSet before flag.Parse, then bracket main with
-// Start/Stop:
+// registers them once instead of redeclaring the same flags, and the
+// one exit path that flushes them. Register on the command's FlagSet
+// before flag.Parse, then bracket main with Start/Stop:
 //
-//	cli := core.RegisterCLIFlags(flag.CommandLine, true)
+//	cli := core.RegisterCLIFlags(flag.CommandLine, "stackmem", true)
 //	flag.Parse()
-//	if err := cli.Start(); err != nil { fatal(err) }
+//	if err := cli.Start(); err != nil { cli.Fatal(err) }
 //	defer cli.Stop()
+//	ctx, stop := cli.Context(context.Background(), timeout)
+//	defer stop()
 //	... pass cli.Obs() into RunSpec / harness.Config ...
 type CLIFlags struct {
 	// Solver is the raw -solver flag value ("", "sor" or
@@ -37,6 +42,7 @@ type CLIFlags struct {
 	// Progress enables the live one-line progress reporter on stderr.
 	Progress bool
 
+	name        string
 	withSolver  bool
 	method      thermal.Method
 	reg         *obs.Registry
@@ -46,11 +52,12 @@ type CLIFlags struct {
 	stopOnce    sync.Once
 }
 
-// RegisterCLIFlags registers the shared flags on fs and returns the
-// holder. withSolver controls whether -solver is registered — cmds
-// with no thermal solves (tracegen, stackd) skip it.
-func RegisterCLIFlags(fs *flag.FlagSet, withSolver bool) *CLIFlags {
-	f := &CLIFlags{withSolver: withSolver}
+// RegisterCLIFlags registers the shared flags on fs for the command
+// called name (Fatal's message prefix) and returns the holder.
+// withSolver controls whether -solver is registered — cmds with no
+// thermal solves (tracegen, stackd) skip it.
+func RegisterCLIFlags(fs *flag.FlagSet, name string, withSolver bool) *CLIFlags {
+	f := &CLIFlags{name: name, withSolver: withSolver}
 	if withSolver {
 		fs.StringVar(&f.Solver, "solver", "", "thermal iteration schedule: sor or multigrid (default: multigrid for steady solves, sor for transients)")
 	}
@@ -125,6 +132,33 @@ func (f *CLIFlags) Stop() {
 		}
 	})
 	prof.Stop()
+}
+
+// Context derives the run's context from parent: cancelled on an
+// interrupt or SIGTERM and, when timeout is positive, after timeout.
+// Replays and solves observe it and stop at their next check, so a
+// checkpointed replay leaves its snapshot intact for -resume.
+func (f *CLIFlags) Context(parent context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
+	ctx, stop := signal.NotifyContext(parent, os.Interrupt, syscall.SIGTERM)
+	if timeout <= 0 {
+		return ctx, stop
+	}
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	return ctx, func() { cancel(); stop() }
+}
+
+// Fatal prints err after the command name on stderr and exits 1.
+func (f *CLIFlags) Fatal(err error) {
+	fmt.Fprintf(os.Stderr, "%s: %v\n", f.name, err)
+	f.Exit(1)
+}
+
+// Exit stops the shared flags — the final metrics snapshot and the
+// profiles are flushed — and exits with code. Deferred calls do not
+// run, so every early exit of a cmd goes through here.
+func (f *CLIFlags) Exit(code int) {
+	f.Stop()
+	os.Exit(code)
 }
 
 // preRegister creates one representative instrument per substrate so

@@ -9,8 +9,8 @@ import (
 
 // The seed corpora live in testdata/fuzz/<target>: the request and
 // campaign-spec bodies the unit tests and smokes use, plus bodies
-// carrying the removed "parallelism" key, which must fail to decode
-// without panicking.
+// carrying the removed "parallelism" key or an out-of-range scale or
+// grid, which must fail to decode without panicking.
 
 // FuzzDecodeWireSpec: DecodeWireSpec never panics, and every spec it
 // accepts re-encodes to canonical bytes that decode and re-encode to

@@ -161,30 +161,15 @@ type MemoryPerf struct {
 // spec.Obs instruments the replay. The replay checks ctx periodically
 // and aborts with its error on cancellation.
 func RunMemoryPerf(ctx context.Context, spec RunSpec, o MemoryOption, bench workload.Benchmark, fc fault.Config) (MemoryPerf, error) {
-	return replayMemory(ctx, spec, o, bench.Name, bench.Generate(spec.Seed, spec.Scale), fc)
+	return memoryPerf(ctx, spec, o, bench.Name, bench.Generate(spec.Seed, spec.Scale), fc)
 }
 
-// replayMemory replays recs, the named benchmark's trace, against
-// option o's hierarchy with fc injected on the stacked DRAM cache.
-func replayMemory(ctx context.Context, spec RunSpec, o MemoryOption, bench string, recs []trace.Record, fc fault.Config) (MemoryPerf, error) {
-	cfg, err := o.HierarchyConfig()
+// memoryPerf replays recs, the named benchmark's trace, against option
+// o and reports the Figure 5 cell.
+func memoryPerf(ctx context.Context, spec RunSpec, o MemoryOption, bench string, recs []trace.Record, fc fault.Config) (MemoryPerf, error) {
+	res, err := ReplayMemory(ctx, o, bench, trace.NewSliceStream(recs), fc, memhier.RunOptions{Obs: spec.Obs})
 	if err != nil {
 		return MemoryPerf{}, err
-	}
-	cfg.Faults = fc
-	if cfg.L2Type == memhier.L2DRAM && len(fc.DeadBanks) > 0 {
-		// Surface an impossible bank-kill before building the machine.
-		if err := fc.ValidateBanks(cfg.DRAMArray.Banks); err != nil {
-			return MemoryPerf{}, fmt.Errorf("core: faults: %w", err)
-		}
-	}
-	sim, err := memhier.New(cfg)
-	if err != nil {
-		return MemoryPerf{}, err
-	}
-	res, err := sim.Run(ctx, trace.NewSliceStream(recs), memhier.RunOptions{Obs: spec.Obs})
-	if err != nil {
-		return MemoryPerf{}, fmt.Errorf("core: %s on %s: %w", bench, o, err)
 	}
 	return MemoryPerf{
 		Benchmark:       bench,
@@ -200,6 +185,34 @@ func replayMemory(ctx context.Context, spec RunSpec, o MemoryOption, bench strin
 	}, nil
 }
 
+// ReplayMemory replays stream against option o's hierarchy with fc
+// injected on the stacked DRAM cache, supervised by opt (checkpoints,
+// resume, metrics). name labels the stream in errors. It is the one
+// replay path: RunMemoryPerf and RunFigure5 feed it generated traces,
+// the CLIs feed it trace files and checkpointed runs.
+func ReplayMemory(ctx context.Context, o MemoryOption, name string, stream trace.Stream, fc fault.Config, opt memhier.RunOptions) (memhier.Result, error) {
+	cfg, err := o.HierarchyConfig()
+	if err != nil {
+		return memhier.Result{}, err
+	}
+	cfg.Faults = fc
+	if cfg.L2Type == memhier.L2DRAM && len(fc.DeadBanks) > 0 {
+		// Surface an impossible bank-kill before building the machine.
+		if err := fc.ValidateBanks(cfg.DRAMArray.Banks); err != nil {
+			return memhier.Result{}, fmt.Errorf("core: faults: %w", err)
+		}
+	}
+	sim, err := memhier.New(cfg)
+	if err != nil {
+		return memhier.Result{}, err
+	}
+	res, err := sim.Run(ctx, stream, opt)
+	if err != nil {
+		return memhier.Result{}, fmt.Errorf("core: %s on %s: %w", name, o, err)
+	}
+	return res, nil
+}
+
 // Figure5Result holds the full sweep: rows[benchmark][option].
 type Figure5Result struct {
 	Benchmarks []string
@@ -207,12 +220,12 @@ type Figure5Result struct {
 	Rows       [][]MemoryPerf
 }
 
-// RunFigure5 sweeps every RMS benchmark over every configuration —
-// the paper's Figure 5. Traces are regenerated per benchmark and
-// shared across the four options; cancellation aborts mid-sweep with
-// the context's error.
-func RunFigure5(ctx context.Context, spec RunSpec) (*Figure5Result, error) {
-	benches := workload.All()
+// RunFigure5 sweeps benches over every configuration with fc injected
+// on the stacked DRAM cache — the paper's Figure 5 is all RMS
+// benchmarks (workload.All) and a zero fc. Each benchmark's trace is
+// generated once and shared across the four options; cancellation
+// aborts mid-sweep with the context's error.
+func RunFigure5(ctx context.Context, spec RunSpec, benches []workload.Benchmark, fc fault.Config) (*Figure5Result, error) {
 	opts := MemoryOptions()
 	out := &Figure5Result{Options: opts}
 	for _, b := range benches {
@@ -220,7 +233,7 @@ func RunFigure5(ctx context.Context, spec RunSpec) (*Figure5Result, error) {
 		recs := b.Generate(spec.Seed, spec.Scale)
 		row := make([]MemoryPerf, 0, len(opts))
 		for _, o := range opts {
-			p, err := replayMemory(ctx, spec, o, b.Name, recs, fault.Config{})
+			p, err := memoryPerf(ctx, spec, o, b.Name, recs, fc)
 			if err != nil {
 				return nil, err
 			}

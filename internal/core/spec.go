@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"math"
 
 	"diestack/internal/obs"
 	"diestack/internal/thermal"
@@ -41,6 +44,25 @@ type RunSpec struct {
 	// bit-identical to fresh ones; a nil cache means every solve starts
 	// cold. Like Obs, it is process-local and never travels on the wire.
 	Workspaces *thermal.WorkspaceCache
+}
+
+// ErrSpecRange marks a RunSpec field outside the range any experiment
+// accepts; RunSpec.Validate wraps it with the offending field.
+var ErrSpecRange = errors.New("core: spec out of range")
+
+// Validate rejects a negative or non-finite Scale and a negative Grid
+// (zero selects the default for both), and an unknown Method. Decoding
+// a request or a campaign spec calls it, so a bad value is refused up
+// front instead of silently running as the default under a cache key
+// of its own.
+func (s RunSpec) Validate() error {
+	if s.Scale < 0 || math.IsNaN(s.Scale) || math.IsInf(s.Scale, 0) {
+		return fmt.Errorf("%w: scale must be non-negative and finite, got %v", ErrSpecRange, s.Scale)
+	}
+	if s.Grid < 0 {
+		return fmt.Errorf("%w: grid must be non-negative, got %d", ErrSpecRange, s.Grid)
+	}
+	return s.Method.Validate()
 }
 
 // solveStack solves s on the spec's solver settings (Method, Obs),

@@ -101,6 +101,10 @@ type coordinator struct {
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
 	wg     sync.WaitGroup
+	// answering is held shared while a request is answered; the drain
+	// teardown takes it exclusively before closing connections, so a
+	// result merged in the drain's last tick still gets its reply.
+	answering sync.RWMutex
 
 	grants, expired, reissues, steals *obs.Counter
 	accepted, duplicate, divergent    *obs.Counter
@@ -233,7 +237,9 @@ func RunCoordinator(ctx context.Context, cfg CoordinatorConfig) (*harness.Manife
 			c.fatal(fmt.Errorf("dist: journal sync on drain: %w", syncErr))
 		}
 		c.logf("coordinator: drained, %d unfinished job(s) recorded canceled (journal resumable)", n)
+		c.answering.Lock()
 		c.closeConns()
+		c.answering.Unlock()
 	} else {
 		// Give workers a moment to pull their "done" and exit cleanly;
 		// dead peers (crashed or partitioned) are force-closed after
@@ -517,17 +523,20 @@ func (c *coordinator) serve(conn net.Conn) {
 			}
 			return // leases expire on their own
 		}
+		c.answering.RLock()
 		var resp response
 		switch req.Type {
 		case "hello":
 			if pe := checkProto(req.Proto); pe != nil {
 				violation(pe.Reason)
 				lc.writeJSON(response{Type: "error", Err: pe.Reason})
+				c.answering.RUnlock()
 				return
 			}
 			if req.Worker == "" {
 				violation("hello without a worker name")
 				lc.writeJSON(response{Type: "error", Err: "hello without a worker name"})
+				c.answering.RUnlock()
 				return
 			}
 			if req.SpecHash != "" && req.SpecHash != c.hash {
@@ -537,6 +546,7 @@ func (c *coordinator) serve(conn net.Conn) {
 				lc.writeJSON(response{Type: "error",
 					Err: fmt.Sprintf("spec hash %.12s.. does not match this campaign's %.12s..",
 						req.SpecHash, c.hash)})
+				c.answering.RUnlock()
 				return
 			}
 			if worker == "" {
@@ -559,7 +569,9 @@ func (c *coordinator) serve(conn net.Conn) {
 			violation(fmt.Sprintf("unknown request type %q", req.Type))
 			resp = response{Type: "error", Err: fmt.Sprintf("unknown request type %q", req.Type)}
 		}
-		if err := lc.writeJSON(resp); err != nil {
+		err = lc.writeJSON(resp)
+		c.answering.RUnlock()
+		if err != nil {
 			return
 		}
 	}

@@ -19,17 +19,10 @@ import (
 	"diestack/internal/obs"
 )
 
-// Sentinel errors. Callers match them with errors.Is.
-var (
-	// ErrUncorrectable marks a multi-bit ECC error that SECDED can
-	// detect but not correct. The memory hierarchy recovers by
-	// invalidating the poisoned line and refetching from main memory;
-	// the sentinel surfaces only when recovery itself is exhausted.
-	ErrUncorrectable = errors.New("fault: uncorrectable ECC error")
-	// ErrAllBanksDead marks a bank-failure configuration that leaves a
-	// DRAM device with no live banks to remap into.
-	ErrAllBanksDead = errors.New("fault: all DRAM banks dead")
-)
+// ErrAllBanksDead marks a bank-failure configuration that leaves a
+// DRAM device with no live banks to remap into. Callers match it with
+// errors.Is.
+var ErrAllBanksDead = errors.New("fault: all DRAM banks dead")
 
 // Defaults used when the corresponding Config field is zero.
 const (

@@ -245,18 +245,12 @@ func (s *Simulator) restore(st *runState, cp *Checkpoint, stream trace.Stream) e
 	return nil
 }
 
-// SaveCheckpoint writes the checkpoint to path atomically: the framed
+// saveCheckpoint writes the checkpoint to path atomically: the framed
 // blob goes to a temporary file in the same directory which is then
 // renamed over path, so a kill mid-write never destroys the previous
-// snapshot.
-func SaveCheckpoint(path string, cp *Checkpoint) error {
-	var buf bytes.Buffer
-	return saveCheckpoint(path, cp, &buf)
-}
-
-// saveCheckpoint is SaveCheckpoint with a caller-supplied encode
-// buffer, so the periodic-snapshot path can reuse one buffer across
-// the run instead of growing a fresh one per checkpoint.
+// snapshot. buf is the caller's encode buffer, so the periodic-snapshot
+// path can reuse one buffer across the run instead of growing a fresh
+// one per checkpoint.
 func saveCheckpoint(path string, cp *Checkpoint, buf *bytes.Buffer) error {
 	if err := encodeCheckpoint(buf, cp); err != nil {
 		return err

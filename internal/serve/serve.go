@@ -21,6 +21,7 @@ package serve
 
 import (
 	"container/list"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -96,12 +97,18 @@ type cacheEntry struct {
 }
 
 // flight is one in-progress run; identical requests arriving while it
-// is open wait on done and replay status/body.
+// is open wait on done and replay status/body. cancel stops the run;
+// it fires only when every waiter — leader and followers — has gone,
+// so one client's disconnect never fails the others.
 type flight struct {
-	done   chan struct{}
-	status int
-	body   []byte
-	shed   bool
+	cancel context.CancelFunc
+	// waiters counts the requests still attached; guarded by
+	// Server.mu.
+	waiters int
+	done    chan struct{}
+	status  int
+	body    []byte
+	shed    bool
 }
 
 // New builds a Server from cfg.
@@ -240,19 +247,26 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// waits for its verdict.
 	s.mu.Lock()
 	if f := s.flights[key]; f != nil {
+		f.waiters++
 		s.mu.Unlock()
 		select {
 		case <-f.done:
 		case <-r.Context().Done():
 			// Client gone; nothing useful to write.
+			s.leave(key, f)
 			return
 		}
 		s.writeFlight(w, f, true)
 		return
 	}
-	f := &flight{done: make(chan struct{})}
+	// The run keeps the leader's request values but not its
+	// cancellation, which the waiter count takes over.
+	ctx, cancel := context.WithCancel(context.WithoutCancel(r.Context()))
+	f := &flight{cancel: cancel, waiters: 1, done: make(chan struct{})}
 	s.flights[key] = f
 	s.mu.Unlock()
+	// The leader's own disconnect counts as one waiter leaving.
+	defer context.AfterFunc(r.Context(), func() { s.leave(key, f) })()
 
 	// Admission: never queue solver work behind the bound — shed.
 	select {
@@ -268,13 +282,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The request context drives the run: a disconnected client
-	// cancels its own solve (followers have already latched onto done,
-	// so they observe the cancellation error like any other failure).
 	req.Spec.Obs = s.reg
 	req.Spec.Workspaces = s.ws
 	start := time.Now()
-	res, err := exp.Run(r.Context(), req)
+	res, err := exp.Run(ctx, req)
 	s.reg.Histogram("stackd_latency_"+exp.Name, 0, 60, 120).Observe(time.Since(start).Seconds())
 	if err != nil {
 		f.status = http.StatusInternalServerError
@@ -303,9 +314,28 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // runs fresh.
 func (s *Server) closeFlight(key string, f *flight) {
 	s.mu.Lock()
-	delete(s.flights, key)
+	if s.flights[key] == f {
+		delete(s.flights, key)
+	}
 	s.mu.Unlock()
+	f.cancel()
 	close(f.done)
+}
+
+// leave detaches one disconnected waiter from f. The last one out
+// cancels the run and retires the flight, so a request arriving
+// afterwards starts a fresh run instead of joining a cancelled one.
+func (s *Server) leave(key string, f *flight) {
+	s.mu.Lock()
+	f.waiters--
+	last := f.waiters == 0
+	if last && s.flights[key] == f {
+		delete(s.flights, key)
+	}
+	s.mu.Unlock()
+	if last {
+		f.cancel()
+	}
 }
 
 // writeFlight replays a finished flight to one waiter. merged marks

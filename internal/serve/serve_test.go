@@ -36,6 +36,18 @@ func countingExperiment(name string, runs *atomic.Int64, gate chan struct{}) cor
 	}
 }
 
+// flightWaiters returns how many requests are attached to open
+// flights, leaders included.
+func flightWaiters(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, f := range s.flights {
+		n += f.waiters
+	}
+	return n
+}
+
 func post(t *testing.T, url, body string) (*http.Response, string) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
@@ -118,9 +130,9 @@ func TestSingleflightMerge(t *testing.T) {
 			states[i] = resp.Header.Get("X-Stackd-Cache")
 		}(i)
 	}
-	// Release the leader only once every request has arrived (the
-	// followers are waiting on its flight, the leader inside the gate).
-	for reg.CounterValue("stackd_requests") < n {
+	// Release the leader only once every request has joined its flight
+	// (the followers waiting on done, the leader inside the gate).
+	for flightWaiters(s) < n {
 		time.Sleep(time.Millisecond)
 	}
 	close(gate)
@@ -149,6 +161,132 @@ func TestSingleflightMerge(t *testing.T) {
 	if reg.CounterValue("stackd_inflight_merged") != n-1 {
 		t.Fatalf("stackd_inflight_merged = %d", reg.CounterValue("stackd_inflight_merged"))
 	}
+}
+
+// TestLeaderDisconnectKeepsFollowers: the client whose request started
+// a flight hangs up mid-solve; the solve runs on and every merged
+// follower still gets the 200.
+func TestLeaderDisconnectKeepsFollowers(t *testing.T) {
+	const followers = 4
+	var runs atomic.Int64
+	gate := make(chan struct{})
+	s := New(Config{Experiments: []core.Experiment{countingExperiment("count", &runs, gate)}})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	url := ts.URL + "/v1/experiments/count"
+	const body = `{"spec":{"seed":1}}`
+
+	leaderCtx, hangUp := context.WithCancel(context.Background())
+	leaderErr := make(chan error, 1)
+	go func() {
+		req, _ := http.NewRequestWithContext(leaderCtx, http.MethodPost, url, strings.NewReader(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		leaderErr <- err
+	}()
+	for runs.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	var wg sync.WaitGroup
+	statuses := make([]int, followers)
+	states := make([]string, followers)
+	for i := range statuses {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, _ := post(t, url, body)
+			statuses[i] = resp.StatusCode
+			states[i] = resp.Header.Get("X-Stackd-Cache")
+		}(i)
+	}
+	for flightWaiters(s) < 1+followers {
+		time.Sleep(time.Millisecond)
+	}
+	hangUp()
+	if err := <-leaderErr; err == nil {
+		t.Fatal("leader request completed before the gate opened")
+	}
+	for flightWaiters(s) > followers {
+		time.Sleep(time.Millisecond)
+	}
+	close(gate)
+	wg.Wait()
+	for i := range statuses {
+		if statuses[i] != http.StatusOK || states[i] != "merged" {
+			t.Errorf("follower %d: status %d, cache %q", i, statuses[i], states[i])
+		}
+	}
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("runner executed %d times, want 1", got)
+	}
+}
+
+// TestLastWaiterCancelsFlight: once every client of a flight has hung
+// up, its solve is cancelled, and the next identical request starts a
+// fresh run.
+func TestLastWaiterCancelsFlight(t *testing.T) {
+	started := make(chan struct{}, 2)
+	cancelled := make(chan struct{}, 2)
+	exp := core.Experiment{
+		Name: "hang",
+		Doc:  "blocks until cancelled",
+		Runner: func(ctx context.Context, _ core.RunSpec, _ any) (any, error) {
+			started <- struct{}{}
+			<-ctx.Done()
+			cancelled <- struct{}{}
+			return nil, ctx.Err()
+		},
+	}
+	s := New(Config{Experiments: []core.Experiment{exp}})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	url := ts.URL + "/v1/experiments/hang"
+
+	ctx, hangUp := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req, _ := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(`{}`))
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+				t.Error("request completed although its flight never finished")
+			}
+		}()
+	}
+	<-started
+	for flightWaiters(s) < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	hangUp()
+	wg.Wait()
+	select {
+	case <-cancelled:
+	case <-time.After(10 * time.Second):
+		t.Fatal("flight not cancelled after its last waiter left")
+	}
+
+	// The retired flight is not rejoined: a new request runs afresh.
+	ctx2, hangUp2 := context.WithCancel(context.Background())
+	defer hangUp2()
+	go func() {
+		req, _ := http.NewRequestWithContext(ctx2, http.MethodPost, url, strings.NewReader(`{}`))
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("request after a cancelled flight did not start a new run")
+	}
+	hangUp2()
+	<-cancelled
 }
 
 func TestShedUnderLoad(t *testing.T) {
@@ -241,6 +379,16 @@ func TestBadRequests(t *testing.T) {
 	}
 	if resp, _ := post(t, ts.URL+"/v1/experiments/fig5", `{"experiment":"fig8"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("name mismatch: %d", resp.StatusCode)
+	}
+	// Out of range: refused, not run as the default scale or grid.
+	for _, tc := range []struct{ name, body string }{
+		{"memory-perf", `{"spec":{"scale":-1},"params":{"benchmark":"gauss"}}`},
+		{"fig6", `{"spec":{"grid":-5}}`},
+	} {
+		if resp, body := post(t, ts.URL+"/v1/experiments/"+tc.name, tc.body); resp.StatusCode != http.StatusBadRequest ||
+			!strings.Contains(body, "out of range") {
+			t.Errorf("%s %s: %d %s", tc.name, tc.body, resp.StatusCode, body)
+		}
 	}
 }
 
@@ -344,6 +492,43 @@ func TestGracefulShutdownDrain(t *testing.T) {
 	res := <-inflight
 	if res.status != http.StatusOK || !strings.Contains(res.body, `"seed":1`) {
 		t.Fatalf("drained request got %d %s", res.status, res.body)
+	}
+}
+
+// TestDrainWithFollowers: Shutdown also waits for the followers merged
+// onto an in-flight solve, and each gets the leader's verdict.
+func TestDrainWithFollowers(t *testing.T) {
+	const n = 3
+	var runs atomic.Int64
+	gate := make(chan struct{})
+	s := New(Config{Experiments: []core.Experiment{countingExperiment("count", &runs, gate)}})
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	statuses := make(chan int, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			resp, _ := post(t, ts.URL+"/v1/experiments/count", `{"spec":{"seed":1}}`)
+			statuses <- resp.StatusCode
+		}()
+	}
+	for flightWaiters(s) < n {
+		time.Sleep(time.Millisecond)
+	}
+	shutdown := make(chan error, 1)
+	go func() { shutdown <- ts.Config.Shutdown(context.Background()) }()
+	close(gate)
+	if err := <-shutdown; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		if st := <-statuses; st != http.StatusOK {
+			t.Errorf("drained request got %d", st)
+		}
+	}
+	if runs.Load() != 1 {
+		t.Fatalf("runner executed %d times, want 1", runs.Load())
 	}
 }
 

@@ -712,20 +712,6 @@ func (f *Field) LayerPeak(li int) float64 {
 	return peak
 }
 
-// LayerMin returns the coldest temperature within stack layer li.
-func (f *Field) LayerMin(li int) float64 {
-	nx, ny := f.stack.Nx, f.stack.Ny
-	low := math.Inf(1)
-	for _, z := range f.zOfLayer[li] {
-		for i := z * ny * nx; i < (z+1)*ny*nx; i++ {
-			if f.t[i] < low {
-				low = f.t[i]
-			}
-		}
-	}
-	return low
-}
-
 // LayerMap returns layer li's lateral temperature map (averaged over
 // the layer's z cells), indexed [y][x].
 func (f *Field) LayerMap(li int) [][]float64 {
@@ -755,32 +741,6 @@ func (f *Field) At(li, x, y int) float64 {
 		sum += f.t[(z*ny+y)*nx+x]
 	}
 	return sum / float64(len(zs))
-}
-
-// ExtentPeak returns the hottest temperature of layer li restricted to
-// the lateral rectangle r (useful for reading die temperatures out of
-// a package-sized field).
-func (f *Field) ExtentPeak(li int, r Rect) float64 {
-	s := f.stack
-	dx := s.Width / float64(s.Nx)
-	dy := s.Height / float64(s.Ny)
-	peak := math.Inf(-1)
-	for y := 0; y < s.Ny; y++ {
-		cy := (float64(y) + 0.5) * dy
-		if cy < r.Y || cy >= r.Y+r.H {
-			continue
-		}
-		for x := 0; x < s.Nx; x++ {
-			cx := (float64(x) + 0.5) * dx
-			if cx < r.X || cx >= r.X+r.W {
-				continue
-			}
-			if v := f.At(li, x, y); v > peak {
-				peak = v
-			}
-		}
-	}
-	return peak
 }
 
 // LayerPeakMinIn returns the coldest temperature of layer li within
