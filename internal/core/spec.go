@@ -50,11 +50,11 @@ type RunSpec struct {
 // accepts; RunSpec.Validate wraps it with the offending field.
 var ErrSpecRange = errors.New("core: spec out of range")
 
-// Validate rejects a negative or non-finite Scale and a negative Grid
-// (zero selects the default for both), and an unknown Method. Decoding
-// a request or a campaign spec calls it, so a bad value is refused up
-// front instead of silently running as the default under a cache key
-// of its own.
+// Validate rejects a negative or non-finite Scale, a negative Grid and
+// an unknown Method; zero stays valid for both numbers, as the wire
+// default. Decoding a request or a campaign spec calls it, so a bad
+// value is refused up front instead of silently running as another
+// spec's workload under a cache key of its own.
 func (s RunSpec) Validate() error {
 	if s.Scale < 0 || math.IsNaN(s.Scale) || math.IsInf(s.Scale, 0) {
 		return fmt.Errorf("%w: scale must be non-negative and finite, got %v", ErrSpecRange, s.Scale)
